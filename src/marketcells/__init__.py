@@ -65,13 +65,9 @@ from .model import (
 from .oracle import GridSpec, OwnershipMap, grid_best_response, grid_partition
 from .response import (
     BestResponse,
-    UtilityPiece,
-    UtilityProfile,
     best_response,
-    build_profile,
     find_breakpoints,
     profit_curve,
-    profit_derivative,
     utility,
 )
 from .svg import render_partition_svg
@@ -104,8 +100,6 @@ __all__ = [
     "Scenario",
     "SchemaError",
     "SingularSystem",
-    "UtilityPiece",
-    "UtilityProfile",
     "ValidationError",
     "WindowTooSmall",
     "WipeoutDiagnostics",
@@ -113,7 +107,6 @@ __all__ = [
     "audit_unilateral_deviations",
     "best_response",
     "bisector",
-    "build_profile",
     "compute_wipeout_diagnostics",
     "construct_activation",
     "emit_scenario",
@@ -126,7 +119,6 @@ __all__ = [
     "multi_start",
     "polygon_area",
     "profit_curve",
-    "profit_derivative",
     "report_to_dict",
     "render_partition_svg",
     "shared_edge",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +108,13 @@ class WipeoutDiagnostics:
     psi: dict[int, float]
     entry_points: dict[int, float]
 
+    def to_dict(self) -> dict:
+        """JSON-ready view; company ids become string keys."""
+        return {
+            name: {str(k): v for k, v in sorted(getattr(self, name).items())}
+            for name in ("thresholds", "psi", "entry_points")
+        }
+
 
 def area_tolerance(scenario: Scenario) -> float:
     """Areas at or below this count as zero (non-surviving)."""
@@ -153,17 +161,11 @@ def _line_boundaries(
     S_{k+1})`` with the window closing the outermost cells.  For
     ``beta = 0`` the system is diagonal.
     """
-    m = len(x)
     d = np.diff(x)
     c = np.diff(p) + np.diff(x * x)
     if beta == 0.0:
         return c / (2.0 * d)
-    n = m - 1
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, 2.0 * d - 2.0 * beta)
-    for k in range(n - 1):
-        A[k, k + 1] = beta
-        A[k + 1, k] = beta
+    A = _boundary_matrix(d, beta)
     rhs = c.copy()
     rhs[0] -= beta * lo
     rhs[-1] -= beta * hi
@@ -180,6 +182,38 @@ def _line_boundaries(
     if not np.all(np.isfinite(r)) or np.max(np.abs(A @ r - rhs)) > 1e-6 * scale:
         raise SingularSystem(_singular_message(x, beta))
     return r
+
+
+def _boundary_matrix(d: np.ndarray, beta: float) -> np.ndarray:
+    """Matrix of the brand-feedback boundary system for spacings ``d``."""
+    n = len(d)
+    A = np.zeros((n, n))
+    np.fill_diagonal(A, 2.0 * d - 2.0 * beta)
+    k = np.arange(n - 1)
+    A[k, k + 1] = beta
+    A[k + 1, k] = beta
+    return A
+
+
+def _line_slope(x: np.ndarray, beta: float, slot: int) -> float:
+    """``dS/dP`` of the active company at ``slot`` with the survivors fixed.
+
+    Its price enters the right-hand sides of the two boundaries closing
+    its cell (``+1`` on the left one, ``-1`` on the right one), so the
+    slope is one more solve of the boundary system.  Without brand
+    feedback it is ``-(1/(2 d_L) + 1/(2 d_R))``.
+    """
+    n = len(x) - 1
+    if n == 0:
+        return 0.0
+    d = np.diff(x)
+    dc = np.zeros(n)
+    if slot > 0:
+        dc[slot - 1] = 1.0
+    if slot < n:
+        dc[slot] = -1.0
+    dr = dc / (2.0 * d) if beta == 0.0 else np.linalg.solve(_boundary_matrix(d, beta), dc)
+    return (dr[slot] if slot < n else 0.0) - (dr[slot - 1] if slot > 0 else 0.0)
 
 
 def _singular_message(x: np.ndarray, beta: float) -> str:
@@ -490,10 +524,7 @@ def _partition_2d(
         verts = focal_cell_2d(scenario, weights, k)
         loops.append(verts)
         if len(verts) >= 3:
-            x, y = verts[:, 0], verts[:, 1]
-            areas_by_index[k] = 0.5 * float(
-                np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))
-            )
+            areas_by_index[k] = _shoelace(verts)
 
     surviving = areas_by_index > eps_area
 
@@ -707,6 +738,35 @@ def _line_layout(scenario: Scenario) -> tuple[tuple[int, ...], tuple[float, ...]
     return tuple(order), tuple(float(scenario.positions[k, 0]) for k in order)
 
 
+class LocalSolve(NamedTuple):
+    """One company's area, its own-price slope ``dS/dP`` and the neighbor
+    set its area is piecewise polynomial in (``None`` without a cell)."""
+
+    area: float
+    slope: float
+    neighbors: frozenset[int] | None
+
+
+def _solve_sorted_line(
+    scenario: Scenario, values: np.ndarray
+) -> tuple[tuple[int, ...], np.ndarray, list[int], np.ndarray]:
+    """``_solve_line`` on a line scenario's sorted positions: returns the
+    sort order, the sorted positions, the active slots and their areas."""
+    order, xs = _line_layout(scenario)
+    x = np.array(xs)
+    beta = scenario.beta if scenario.q == 1 else 0.0
+    active, _, areas = _solve_line(
+        x, values[list(order)], beta, scenario.window.lo[0], scenario.window.hi[0],
+        area_tolerance(scenario),
+    )
+    return order, x, active, areas
+
+
+def _shoelace(verts: np.ndarray) -> float:
+    x, y = verts[:, 0], verts[:, 1]
+    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
 def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
     """Market area of one company under a full weight/price vector.
 
@@ -716,58 +776,53 @@ def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
     """
     k = scenario.index_of[company_id]
     if scenario.dimension == 1:
-        order, xs = _line_layout(scenario)
-        x = np.array(xs)
-        p = values[list(order)]
-        beta = scenario.beta if scenario.q == 1 else 0.0
-        active, _, areas = _solve_line(
-            x, p, beta, scenario.window.lo[0], scenario.window.hi[0],
-            area_tolerance(scenario),
-        )
+        order, _, active, areas = _solve_sorted_line(scenario, values)
         slot = {order[a]: s for s, a in enumerate(active)}.get(k)
         return float(areas[slot]) if slot is not None else 0.0
     verts = focal_cell_2d(scenario, values, k)
-    if len(verts) < 3:
-        return 0.0
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return _shoelace(verts) if len(verts) >= 3 else 0.0
 
 
 def fast_signature(
     scenario: Scenario, values: np.ndarray, company_id: int
-) -> tuple[bool, frozenset[int]]:
-    """(survives, neighbor ids) for one company under a weight vector.
+) -> LocalSolve:
+    """Area, area slope and neighbor set of one company under a weight
+    vector, with no window check.
 
-    The neighbor set is what the best-response profile is piecewise in:
-    it stays constant within a piece and changes at breakpoints.
+    Within a piece of constant neighbor set the area is linear (1D) or
+    quadratic (2D) in the company's own price, with slope ``-gamma``: the
+    sum of ``l / (2 d)`` over the cell's bisector edges in 2D.  On a line
+    the slope comes from the survivors' boundary system, which also
+    carries the brand feedback when ``q = 1``.
     """
     k = scenario.index_of[company_id]
     if scenario.dimension == 1:
-        order, xs = _line_layout(scenario)
-        x = np.array(xs)
-        p = values[list(order)]
-        beta = scenario.beta if scenario.q == 1 else 0.0
-        active, _, _ = _solve_line(
-            x, p, beta, scenario.window.lo[0], scenario.window.hi[0],
-            area_tolerance(scenario),
-        )
-        slots = {order[a]: s for s, a in enumerate(active)}
-        slot = slots.get(k)
+        order, x, active, areas = _solve_sorted_line(scenario, values)
+        slot = next((s for s, a in enumerate(active) if order[a] == k), None)
         if slot is None:
-            return False, frozenset()
-        flanks = set()
-        if slot > 0:
-            flanks.add(scenario.ids[order[active[slot - 1]]])
-        if slot < len(active) - 1:
-            flanks.add(scenario.ids[order[active[slot + 1]]])
-        return True, frozenset(flanks)
-    verts = focal_cell_2d(scenario, values, k)
-    if len(verts) < 3:
-        return False, frozenset()
+            return LocalSolve(0.0, 0.0, None)
+        flanks = frozenset(
+            scenario.ids[order[active[s]]]
+            for s in (slot - 1, slot + 1)
+            if 0 <= s < len(active)
+        )
+        beta = scenario.beta if scenario.q == 1 else 0.0
+        slope = _line_slope(x[active], beta, slot)
+        return LocalSolve(float(areas[slot]), float(slope), flanks)
     normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
+    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+    if len(verts) < 3:
+        return LocalSolve(0.0, 0.0, None)
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
     lengths, _ = _edge_attribution(verts, normals, offsets, plane_ids, tie_tol)
-    return True, frozenset(scenario.ids[j] for j in lengths)
+    positions = scenario.positions
+    slope = -sum(
+        seg / (2.0 * float(np.hypot(*(positions[j] - positions[k]))))
+        for j, seg in lengths.items()
+    )
+    return LocalSolve(
+        _shoelace(verts), slope, frozenset(scenario.ids[j] for j in lengths)
+    )
 
 
 def compute_wipeout_diagnostics(

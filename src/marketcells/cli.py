@@ -109,9 +109,18 @@ def _prices_from(scenario: Scenario, path: str | None) -> PriceVector:
     doc = json.loads(Path(path).read_text())
     if isinstance(doc, dict) and "prices" in doc:
         doc = doc["prices"]
-    return PriceVector.from_mapping(
-        scenario, {int(k): float(v) for k, v in doc.items()}
-    )
+    return _price_vector(scenario, doc, path)
+
+
+def _price_vector(scenario: Scenario, doc, where: str) -> PriceVector:
+    """Price vector from a JSON object mapping company id to price."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: prices must be a JSON object of id to price")
+    try:
+        mapping = {int(k): float(v) for k, v in doc.items()}
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: prices must map integer ids to numbers") from exc
+    return PriceVector.from_mapping(scenario, mapping)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -153,12 +162,7 @@ def _partition_doc(scenario: Scenario, prices: PriceVector) -> dict:
         },
     }
     if scenario.q == 1:
-        _, diag = solve_areas_q1_1d(scenario, prices)
-        doc["wipeout"] = {
-            "thresholds": {str(k): v for k, v in sorted(diag.thresholds.items())},
-            "psi": {str(k): v for k, v in sorted(diag.psi.items())},
-            "entry_points": {str(k): v for k, v in sorted(diag.entry_points.items())},
-        }
+        doc["wipeout"] = solve_areas_q1_1d(scenario, prices)[1].to_dict()
     return doc
 
 
@@ -327,9 +331,9 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_verify(args) -> int:
     scenario = _read_scenario(args.scenario)
     report_doc = json.loads(Path(args.report).read_text())
-    prices = PriceVector.from_mapping(
-        scenario, {int(k): float(v) for k, v in report_doc["prices"].items()}
-    )
+    if not isinstance(report_doc, dict) or "prices" not in report_doc:
+        raise SchemaError(f"{args.report}: a report is a JSON object with \"prices\"")
+    prices = _price_vector(scenario, report_doc["prices"], args.report)
     report = verify_equilibrium(scenario, prices, tol=args.tol)
     _dump(report_to_dict(scenario, report), args.out)
     return EXIT_OK

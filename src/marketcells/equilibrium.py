@@ -566,9 +566,5 @@ def report_to_dict(scenario: Scenario, report: EquilibriumReport) -> dict:
             for pv in report.cycle
         ]
     if report.wipeout is not None:
-        doc["wipeout"] = {
-            "thresholds": {str(k): v for k, v in sorted(report.wipeout.thresholds.items())},
-            "psi": {str(k): v for k, v in sorted(report.wipeout.psi.items())},
-            "entry_points": {str(k): v for k, v in sorted(report.wipeout.entry_points.items())},
-        }
+        doc["wipeout"] = report.wipeout.to_dict()
     return doc

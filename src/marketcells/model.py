@@ -146,14 +146,13 @@ class Scenario:
             ):
                 raise ValidationError(f"company {c.id} not strictly inside window")
 
-        min_sep = _SEPARATION_RTOL * max(self.window.diameter, 1.0)
-        pos = np.array([c.position for c in self.companies])
-        for a in range(len(pos)):
-            for b in range(a + 1, len(pos)):
-                if np.linalg.norm(pos[a] - pos[b]) <= min_sep:
-                    raise ValidationError(
-                        f"companies {ids[a]} and {ids[b]} share a position"
-                    )
+        coincident = _coincident_pairs(
+            np.array([c.position for c in self.companies]),
+            _SEPARATION_RTOL * max(self.window.diameter, 1.0),
+        )
+        if len(coincident):
+            a, b = min(map(tuple, coincident.tolist()))
+            raise ValidationError(f"companies {ids[a]} and {ids[b]} share a position")
 
         if not any(self.in_focal_box(c.position) for c in self.companies):
             raise ValidationError("no company inside the focal box")
@@ -192,10 +191,31 @@ class Scenario:
         return tuple(c.id for c in self.companies)
 
     def company(self, company_id: int) -> Company:
-        return self.companies[self.index_of[company_id]]
+        try:
+            return self.companies[self.index_of[company_id]]
+        except KeyError:
+            raise ValidationError(f"no company with id {company_id}") from None
 
     def with_beta(self, beta: float) -> "Scenario":
         return replace(self, beta=beta)
+
+
+def _coincident_pairs(pos: np.ndarray, min_sep: float) -> np.ndarray:
+    """Index pairs ``(a, b)``, ``a < b``, of positions at most ``min_sep``
+    apart.
+
+    Sorted by the first coordinate, each position is compared only with
+    the later ones whose first coordinate lies within ``min_sep``.
+    """
+    order = np.argsort(pos[:, 0], kind="stable")
+    first = pos[order, 0]
+    ends = np.searchsorted(first, first + min_sep, side="right")
+    counts = ends - np.arange(len(pos)) - 1
+    i = np.repeat(np.arange(len(pos)), counts)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    close = np.linalg.norm(pos[order[i]] - pos[order[j]], axis=1) <= min_sep
+    pairs = np.stack([order[i[close]], order[j[close]]], axis=1)
+    return np.sort(pairs, axis=1)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,7 @@ def grid_best_response(
     to the lower price."""
     if price_samples < 2:
         raise ValueError("need at least two price samples")
+    scenario.company(company_id)  # an unknown id raises ValidationError
     if grid is None:
         grid = GridSpec(1e-3 * max(scenario.window.edges), scenario.window)
     best_price, best_profit = 0.0, 0.0

@@ -2,42 +2,44 @@
 
 A company's profit ``W(P) = P * S(P)`` is piecewise smooth: within a
 stretch of prices where its neighbor set stays put, the area is linear
-(1D) or quadratic (2D) in the price, and pieces join continuously where
-a border shrinks to nothing.  The optimizer walks that structure: locate
-the bracket around the maximum (profit is quasiconcave on the scenarios
-in scope), then pin the vertex down with an exact local polynomial fit
-of the area.
+(1D) or quadratic (2D) in the price, with slope ``dS/dP = -gamma``, and
+pieces join continuously where a border shrinks to nothing.  The best
+response walks that structure with a safeguarded Newton iteration on
+``W'(P) = S + P * S'``: every area solve also returns the exact slope, the
+next trial price is the vertex of ``P * S(P)`` under the exact area model
+of the latest piece, and a bracket on the sign of ``W'`` falls back to
+bisection when that vertex leaves it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .areas import area_tolerance, fast_area, fast_signature
+from .areas import LocalSolve, area_tolerance, fast_area, fast_signature
 from .errors import ValidationError
 from .model import PriceVector, Scenario
 
 __all__ = [
     "BestResponse",
-    "UtilityPiece",
-    "UtilityProfile",
     "best_response",
-    "build_profile",
     "find_breakpoints",
     "profit_curve",
-    "profit_derivative",
     "utility",
 ]
 
-# Central-difference step and breakpoint bisection tolerance, both
-# relative to the price ceiling.
-DERIV_STEP_RTOL = 1e-6
+# Breakpoint bisection tolerance, relative to the price ceiling.
 BREAKPOINT_RTOL = 1e-10
 SIGNATURE_SCAN_SAMPLES = 512
+# The best-response walk accepts a price where |W'| is this small relative
+# to S + P |S'|, and stops at a kink or a wipe-out jump once its bracket
+# is this narrow relative to the price ceiling.
+STATIONARY_RTOL = 1e-11
+BRACKET_RTOL = 1e-12
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -47,25 +49,6 @@ class BestResponse:
     price: float
     profit: float
     wiped_out: bool
-
-
-@dataclass(frozen=True)
-class UtilityPiece:
-    lo: float
-    hi: float
-    signature: tuple[bool, frozenset[int]]
-
-
-@dataclass(frozen=True)
-class UtilityProfile:
-    """Piece decomposition of one company's profit over [0, price_upper].
-
-    ``samples`` optionally caches ``(price, area, profit, dW/dP)`` rows.
-    """
-
-    company_id: int
-    pieces: tuple[UtilityPiece, ...]
-    samples: tuple[tuple[float, float, float, float], ...] | None = None
 
 
 def _values_with(
@@ -99,27 +82,11 @@ def _area_at(
     )
 
 
-def profit_derivative(
-    scenario: Scenario,
-    prices: PriceVector,
-    company_id: int,
-    price: float,
-    step: float | None = None,
-) -> float:
-    """Central-difference dW/dP with fresh area solves on both sides."""
-    h = step if step is not None else DERIV_STEP_RTOL * scenario.price_upper
-    lo = max(0.0, price - h)
-    hi = min(scenario.price_upper, price + h)
-    w_lo = lo * _area_at(scenario, prices, company_id, lo)
-    w_hi = hi * _area_at(scenario, prices, company_id, hi)
-    return (w_hi - w_lo) / (hi - lo)
-
-
-def _signature(
+def _neighbors(
     scenario: Scenario, prices: PriceVector, company_id: int, price: float
-) -> tuple[bool, frozenset[int]]:
+) -> frozenset[int] | None:
     values = _values_with(scenario, prices, company_id, price)
-    return fast_signature(scenario, values, company_id)
+    return fast_signature(scenario, values, company_id).neighbors
 
 
 def find_breakpoints(
@@ -135,7 +102,7 @@ def find_breakpoints(
     upper = scenario.price_upper
     eps = BREAKPOINT_RTOL * upper
     grid = np.linspace(0.0, upper, SIGNATURE_SCAN_SAMPLES)
-    sigs = [_signature(scenario, prices, company_id, float(p)) for p in grid]
+    sigs = [_neighbors(scenario, prices, company_id, float(p)) for p in grid]
     out: list[float] = []
     for k in range(len(grid) - 1):
         if sigs[k] == sigs[k + 1]:
@@ -144,40 +111,12 @@ def find_breakpoints(
         sig_lo = sigs[k]
         while hi - lo > eps:
             mid = 0.5 * (lo + hi)
-            if _signature(scenario, prices, company_id, mid) == sig_lo:
+            if _neighbors(scenario, prices, company_id, mid) == sig_lo:
                 lo = mid
             else:
                 hi = mid
         out.append(0.5 * (lo + hi))
     return out
-
-
-def build_profile(
-    scenario: Scenario,
-    prices: PriceVector,
-    company_id: int,
-    sample_count: int = 0,
-) -> UtilityProfile:
-    """Partition [0, price_upper] into constant-neighbor-set pieces.
-
-    ``sample_count > 0`` additionally caches that many evenly spaced
-    ``(price, area, profit, dW/dP)`` rows on the profile.
-    """
-    cuts = find_breakpoints(scenario, prices, company_id)
-    edges = [0.0, *cuts, scenario.price_upper]
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        pieces.append(UtilityPiece(lo, hi, _signature(scenario, prices, company_id, mid)))
-    samples = None
-    if sample_count > 0:
-        rows = []
-        for p in np.linspace(0.0, scenario.price_upper, sample_count):
-            w, s = utility(scenario, prices, company_id, float(p))
-            g = profit_derivative(scenario, prices, company_id, float(p))
-            rows.append((float(p), s, w, g))
-        samples = tuple(rows)
-    return UtilityProfile(company_id, tuple(pieces), samples)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +136,13 @@ def profit_curve(
 
     Exploits the piecewise-polynomial area structure: areas are solved
     exactly on a coarse subgrid, and a span is filled from the local
-    quadratic only where a vanishing third difference certifies that no
-    breakpoint interrupts it.  Spans failing the test are solved exactly
-    point by point, so reported profits are exact up to roundoff.
+    quadratic only where the third difference of four coarse areas is
+    within ``1e-8`` of the largest area.  Spans failing the test are solved
+    exactly point by point.  The test does not certify that no breakpoint
+    interrupts a span, so a filled profit is not exact: on 2D curves it has
+    strayed from an exact solve by up to ``3.5e-9`` relative, enough to
+    break a ``1e-9`` unimodality bound.  Coarse samples and unfilled spans
+    are exact up to roundoff.
     """
     upper = scenario.price_upper
     grid = np.linspace(0.0, upper, samples)
@@ -268,218 +211,109 @@ def best_response(
     scenario: Scenario,
     prices: PriceVector,
     company_id: int,
-    method: str = "auto",
 ) -> BestResponse:
     """Profit-maximizing price for one company, holding others fixed.
 
-    ``method='pieces'`` enumerates neighbor-set pieces and root-finds the
-    profit derivative inside each, the transparent-but-slow route;
-    ``method='scan'`` brackets the quasiconcave maximum from a coarse
-    profit scan and polishes it with an exact local polynomial fit.
-    ``'auto'`` tries the closed-form line vertex first (1D, no brand
-    feedback) and otherwise scans.  Ties break toward the lower price.
+    A safeguarded Newton walk on ``W'(P)`` from the company's current
+    price (see :func:`_walk`), then the most profitable of ``0``, the
+    price ceiling and the walk's end.  Ties break toward the lower price.
+    A company with no market even at price zero is wiped out.
     """
     company = scenario.company(company_id)
     if company.frozen:
         raise ValidationError(f"company {company_id} is frozen and never optimizes")
 
-    if _area_at(scenario, prices, company_id, 0.0) <= area_tolerance(scenario):
-        return BestResponse(scenario.price_upper, 0.0, True)
+    upper = scenario.price_upper
+    eps = area_tolerance(scenario)
+    values = prices.as_array()
+    k = scenario.index_of[company_id]
+    solved: dict[float, LocalSolve] = {}
 
-    if method not in ("auto", "scan", "pieces"):
-        raise ValueError(f"unknown method {method!r}")
+    def solve(price: float) -> LocalSolve:
+        if price not in solved:
+            values[k] = price
+            solved[price] = fast_signature(scenario, values, company_id)
+        return solved[price]
 
-    candidates: list[float] = [0.0, scenario.price_upper]
-    if method == "auto" and scenario.dimension == 1 and scenario.q == 0:
-        vertex = _line_vertex(scenario, prices, company_id)
-        if vertex is not None:
-            candidates.append(vertex)
-        else:
-            candidates.extend(_scan_candidates(scenario, prices, company_id))
-    elif method == "pieces":
-        candidates.extend(_piece_candidates(scenario, prices, company_id))
-    else:
-        candidates.extend(_scan_candidates(scenario, prices, company_id))
+    if solve(0.0).area <= eps:
+        return BestResponse(upper, 0.0, True)
 
+    ends = _walk(solve, prices.values[k], upper, eps, curved=scenario.dimension == 2)
     best_price, best_profit = 0.0, -np.inf
-    for price in sorted(set(np.clip(candidates, 0.0, scenario.price_upper))):
-        w, _ = utility(scenario, prices, company_id, float(price))
+    for price in sorted({0.0, upper, *ends}):
+        w = price * solve(price).area
         if w > best_profit * (1.0 + 1e-12) + 1e-15:
-            best_price, best_profit = float(price), w
+            best_price, best_profit = price, w
     if best_profit <= 0.0:
-        return BestResponse(scenario.price_upper, 0.0, True)
+        return BestResponse(upper, 0.0, True)
     return BestResponse(best_price, best_profit, False)
 
 
-def _line_vertex(
-    scenario: Scenario, prices: PriceVector, company_id: int
-) -> float | None:
-    """Closed-form parabola vertex for a line company without brand pull.
-
-    The profit against fixed flanking survivors is ``P (A - g P)`` with
-    ``g = 1/(2 d_L) + 1/(2 d_R)``; its vertex is ``A / (2 g)``.  Verified
-    against an exact solve before being trusted, since aggressive prices
-    can change who the flanks are; returns ``None`` when no consistent
-    vertex exists and the caller must scan.
-    """
-    probes = [prices.price_of(scenario, company_id), 0.0]
-    x0 = scenario.company(company_id).position[0]
-    for probe in probes:
-        survives, flanks = _signature(scenario, prices, company_id, probe)
-        if not survives or len(flanks) != 2:
-            continue
-        left = min(flanks, key=lambda cid: scenario.company(cid).position[0])
-        right = max(flanks, key=lambda cid: scenario.company(cid).position[0])
-        xl = scenario.company(left).position[0]
-        xr = scenario.company(right).position[0]
-        if not xl < x0 < xr:
-            continue
-        pl, pr = prices.price_of(scenario, left), prices.price_of(scenario, right)
-        d_l, d_r = x0 - xl, xr - x0
-        g = 0.5 / d_l + 0.5 / d_r
-        intercept = (pr + xr**2 - x0**2) / (2.0 * d_r) + (pl - x0**2 + xl**2) / (
-            2.0 * d_l
-        )
-        vertex = float(np.clip(intercept / (2.0 * g), 0.0, scenario.price_upper))
-        if _signature(scenario, prices, company_id, vertex) != (True, flanks):
-            continue
-        predicted = intercept - g * vertex
-        if abs(_area_at(scenario, prices, company_id, vertex) - predicted) <= 1e-9 * max(
-            1.0, predicted
-        ):
-            return vertex
-    return None
+def _profit_slope(price: float, at: LocalSolve, eps: float) -> float:
+    """``W'(P) = S + P * S'``; a company without market counts as falling."""
+    return at.area + price * at.slope if at.area > eps else -math.inf
 
 
-def _scan_candidates(
-    scenario: Scenario, prices: PriceVector, company_id: int
+def _walk(
+    solve: Callable[[float], LocalSolve],
+    start: float,
+    upper: float,
+    eps: float,
+    curved: bool,
 ) -> list[float]:
-    """Bracket the maximum from a coarse scan, refine, then polish."""
-    upper = scenario.price_upper
-    grid = np.linspace(0.0, upper, 65)
-    profits = np.array(
-        [p * _area_at(scenario, prices, company_id, float(p)) for p in grid]
-    )
-    k = int(np.argmax(profits))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
-    result = minimize_scalar(
-        lambda p: -p * _area_at(scenario, prices, company_id, float(p)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-10 * upper},
-    )
-    out = [float(grid[k])]
-    polished = _polish(scenario, prices, company_id, float(result.x))
-    if polished is None:
-        out.append(float(result.x))
-    else:
-        # the polished vertex supersedes the golden iterate, whose noise
-        # would otherwise win lowest-price tie-breaking
-        out.append(polished)
-    return out
+    """Prices at the maximum of ``W`` on ``[0, upper]``.
+
+    Keeps a bracket ``[lo, hi]`` with ``W'(lo) > 0 >= W'(hi)`` and steps to
+    the vertex of ``P * S(P)`` under the exact area model of the latest
+    solve's piece: linear from one solve, plus (in 2D) the curvature from
+    the slopes of two solves with the same neighbor set.  A vertex outside
+    the bracket, or a step longer than half the step before last, means
+    bisection.  Returns the stationary price, or the ends of a bracket
+    narrowed to ``BRACKET_RTOL * upper`` around a kink or a wipe-out jump.
+    """
+    if _profit_slope(upper, solve(upper), eps) >= 0.0:
+        return [upper]
+    lo, hi = 0.0, upper
+    last_price, last = 0.0, solve(0.0)
+    curvature = 0.0
+    price = start if lo < start < hi else 0.5 * upper
+    step, previous_step = math.inf, math.inf
+    for _ in range(_MAX_STEPS):
+        at = solve(price)
+        g = _profit_slope(price, at, eps)
+        if g > 0.0:
+            lo = price
+        else:
+            hi = price
+        if at.area > eps:
+            if abs(g) <= STATIONARY_RTOL * (at.area - price * at.slope):
+                return [price]
+            curvature = (
+                (at.slope - last.slope) / (price - last_price)
+                if curved and at.neighbors == last.neighbors
+                else 0.0
+            )
+            last_price, last = price, at
+        if hi - lo <= BRACKET_RTOL * upper:
+            return [lo, hi]
+        proposal = _model_vertex(last_price, last, curvature)
+        if not (lo < proposal < hi and abs(proposal - price) <= 0.5 * previous_step):
+            proposal = 0.5 * (lo + hi)
+        step, previous_step = abs(proposal - price), step
+        price = proposal
+    return [lo, hi]
 
 
-def _stationary_prices(a: float, b: float, c: float) -> list[float]:
-    """Real roots of ``3 a P^2 + 2 b P + c = 0``, solved in the stable
-    form so a vanishing quadratic coefficient degrades gracefully."""
-    aa, bb, cc = 3.0 * a, 2.0 * b, c
-    scale = max(abs(aa), abs(bb), abs(cc), 1e-300)
-    if abs(aa) <= 1e-12 * scale:
-        return [] if bb == 0.0 else [-cc / bb]
-    disc = bb * bb - 4.0 * aa * cc
+def _model_vertex(price: float, at: LocalSolve, curvature: float) -> float:
+    """Root nearest ``price`` of ``W'`` under the area model
+    ``S(price + u) = S + S' u + curvature u^2 / 2``, where
+    ``W'(price + u) = g + b u + 1.5 curvature u^2``; NaN when the model
+    profit is not concave there."""
+    g = at.area + price * at.slope
+    b = 2.0 * at.slope + price * curvature
+    if not b < 0.0:
+        return math.nan
+    disc = b * b - 6.0 * curvature * g
     if disc < 0.0:
-        return []
-    q = -0.5 * (bb + math.copysign(math.sqrt(disc), bb if bb != 0.0 else 1.0))
-    roots = [q / aa]
-    if q != 0.0:
-        roots.append(cc / q)
-    return roots
-
-
-def _polish(
-    scenario: Scenario, prices: PriceVector, company_id: int, price: float
-) -> float | None:
-    """Exact vertex of the local piece via a quadratic fit of the area.
-
-    Within one piece the area is a polynomial of degree at most two in
-    the price, so three exact solves recover it and the stationary point
-    of ``P * S(P)`` follows in closed form.  The fit is trusted only if
-    it reproduces a fourth exact solve; one refinement pass re-centers
-    the fit on the candidate.
-    """
-    upper = scenario.price_upper
-    current = price
-    best: tuple[float, float] | None = None
-    for _ in range(2):
-        h = max(1e-7 * upper, 1e-9)
-        pts = np.array([current - h, current, current + h])
-        if pts[0] < 0.0 or pts[2] > upper:
-            return best[0] if best else None
-        vals = np.array(
-            [_area_at(scenario, prices, company_id, float(p)) for p in pts]
-        )
-        a, b, c = np.polyfit(pts, vals, 2)
-        chosen = None
-        for r in _stationary_prices(a, b, c):
-            if not (current - 64.0 * h <= r <= current + 64.0 * h):
-                continue
-            if not 0.0 <= r <= upper:
-                continue
-            predicted = float(np.polyval([a, b, c], r))
-            actual = _area_at(scenario, prices, company_id, r)
-            if abs(actual - predicted) <= 1e-8 * max(1.0, abs(actual)):
-                if chosen is None or r * actual > chosen[1]:
-                    chosen = (r, r * actual)
-        if chosen is None:
-            break
-        if best is None or chosen[1] >= best[1]:
-            best = chosen
-        if abs(chosen[0] - current) <= 1e-13 * upper:
-            break
-        current = chosen[0]
-    return best[0] if best else None
-
-
-def _piece_candidates(
-    scenario: Scenario, prices: PriceVector, company_id: int
-) -> list[float]:
-    """Candidate prices from explicit piece enumeration."""
-    upper = scenario.price_upper
-    h = DERIV_STEP_RTOL * upper
-    cuts = find_breakpoints(scenario, prices, company_id)
-    edges = [0.0, *cuts, upper]
-    candidates: list[float] = list(edges)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        pad = 2.0 * h
-        a, b = lo + pad, hi - pad
-        if b <= a:
-            continue
-        g_a = profit_derivative(scenario, prices, company_id, a)
-        g_b = profit_derivative(scenario, prices, company_id, b)
-        if g_a <= 0.0:
-            candidates.append(a)
-            continue
-        if g_b >= 0.0:
-            candidates.append(b)
-            continue
-        try:
-            root = brentq(
-                lambda p: profit_derivative(scenario, prices, company_id, p),
-                a,
-                b,
-                xtol=1e-12 * upper,
-            )
-            candidates.append(float(root))
-        except ValueError:
-            result = minimize_scalar(
-                lambda p: -p * _area_at(scenario, prices, company_id, float(p)),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-10 * upper},
-            )
-            candidates.append(float(result.x))
-        polished = _polish(scenario, prices, company_id, candidates[-1])
-        if polished is not None and lo <= polished <= hi:
-            candidates.append(polished)
-    return candidates
+        return price - g / b
+    return price + 2.0 * g / (math.sqrt(disc) - b)

@@ -99,6 +99,35 @@ class TestBestResponseCommand:
         assert not doc["wiped_out"]
 
 
+class TestNamedErrors:
+    """Malformed inputs exit 1 with a named error, never a traceback."""
+
+    @pytest.mark.parametrize("report", [{}, [1, 2]], ids=["empty_object", "array"])
+    def test_malformed_report(self, scenario_file, capsys, tmp_path, report):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(report))
+        code, _, err = run(
+            capsys, "verify", scenario_file(triple_q1(0.5)), "--report", str(report_path)
+        )
+        assert code == 1
+        assert err.startswith("SchemaError")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["best-response"], ["oracle-check", "--price-samples", "3"]],
+        ids=["best_response", "oracle_check"],
+    )
+    def test_unknown_company(self, scenario_file, capsys, argv):
+        command, *flags = argv
+        code, _, err = run(
+            capsys, command, scenario_file(triple_q1(0.5)), *flags, "--company", "99"
+        )
+        assert code == 1
+        assert err.startswith("ValidationError") and "99" in err
+        assert "Traceback" not in err
+
+
 class TestEquilibriumCommand:
     def test_line_lattice(self, scenario_file, capsys, tmp_path):
         path = scenario_file(lattice_1d(n=7))

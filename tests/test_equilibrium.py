@@ -121,7 +121,7 @@ class TestIterate:
 
         scn = line_scenario([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0], price_upper=4.0)
 
-        def flip_flop(scenario, prices, cid, method="auto"):
+        def flip_flop(scenario, prices, cid):
             p = prices.price_of(scenario, cid)
             return BestResponse(2.0 if p < 1.5 else 1.0, 1.0, False)
 

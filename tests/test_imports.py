@@ -1,0 +1,18 @@
+"""The package's import footprint."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import marketcells
+
+
+def test_import_leaves_scipy_out():
+    src = Path(marketcells.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, marketcells; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

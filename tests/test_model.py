@@ -46,6 +46,15 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="share a position"):
             load_scenario(json.dumps(doc))
 
+    def test_duplicate_positions_far_apart_in_a_long_line(self):
+        positions = [float(k) for k in range(1_000)]
+        positions[900] = positions[3]
+        with pytest.raises(ValidationError, match="companies 3 and 900 share a position"):
+            line_scenario(positions, [1.0] * 1_000)
+        positions[900] = 3.0 + 1e-13  # within the separation tolerance
+        with pytest.raises(ValidationError, match="companies 3 and 900 share a position"):
+            line_scenario(positions, [1.0] * 1_000)
+
     def test_q1_needs_one_dimension(self):
         doc = minimal_doc()
         doc["q"] = 1

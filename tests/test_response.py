@@ -3,16 +3,20 @@
 import numpy as np
 import pytest
 
+import marketcells.equilibrium as equilibrium
+import marketcells.response as response
 from marketcells import (
+    GridSpec,
     PriceVector,
     ValidationError,
     best_response,
-    build_profile,
     find_breakpoints,
+    grid_best_response,
+    iterate_best_response,
     profit_curve,
-    profit_derivative,
     utility,
 )
+from marketcells.areas import fast_signature
 from marketcells.response import unimodality_defect
 
 from helpers import (
@@ -22,6 +26,12 @@ from helpers import (
     random_plane_scenario,
     triple_q1,
 )
+
+
+def neighbors_at(scn, pv, cid, price):
+    """Neighbor set of ``cid`` when it alone moves to ``price``."""
+    values = pv.with_price(scn, cid, price).as_array()
+    return fast_signature(scn, values, cid).neighbors
 
 
 def flank_scenario(price_upper=4.0):
@@ -81,32 +91,24 @@ class TestBreakpoints:
         pv = PriceVector.from_scenario(scn)
         cuts = find_breakpoints(scn, pv, 12)
         assert any(abs(c - 1.0) < 1e-6 for c in cuts)
-        profile = build_profile(scn, pv, 12)
-        sig_of = {round(0.5 * (p.lo + p.hi), 3): p.signature for p in profile.pieces}
-        below = [s for mid, s in sig_of.items() if 0.5 < mid < 0.99]
-        above = [s for mid, s in sig_of.items() if 1.01 < mid < 1.5]
+        edges = [0.0, *cuts, scn.price_upper]
+        mids = [0.5 * (lo + hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        below = [m for m in mids if 0.5 < m < 0.99]
+        above = [m for m in mids if 1.01 < m < 1.5]
         if below and above:
-            assert len(below[-1][1]) == 8
-            assert len(above[0][1]) == 4
+            assert len(neighbors_at(scn, pv, 12, below[-1])) == 8
+            assert len(neighbors_at(scn, pv, 12, above[0])) == 4
 
     def test_pieces_partition_the_range(self):
         scn = flank_scenario()
-        profile = build_profile(scn, PriceVector.from_scenario(scn), 1)
-        assert profile.pieces[0].lo == 0.0
-        assert profile.pieces[-1].hi == scn.price_upper
-        for a, b in zip(profile.pieces[:-1], profile.pieces[1:]):
-            assert a.hi == b.lo
-            assert a.signature != b.signature
-
-    def test_sample_cache(self):
-        scn = flank_scenario()
-        profile = build_profile(scn, PriceVector.from_scenario(scn), 1, sample_count=9)
-        assert len(profile.samples) == 9
-        p, s, w, g = profile.samples[2]  # price 1.0 on the 9-point grid
-        assert p == pytest.approx(1.0)
-        assert s == pytest.approx(1.0)
-        assert w == pytest.approx(1.0)
-        assert g == pytest.approx(0.0, abs=1e-7)
+        pv = PriceVector.from_scenario(scn)
+        edges = [0.0, *find_breakpoints(scn, pv, 1), scn.price_upper]
+        assert all(a < b for a, b in zip(edges[:-1], edges[1:]))
+        sigs = [
+            neighbors_at(scn, pv, 1, 0.5 * (lo + hi))
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        assert sigs == [frozenset({0, 2}), None]
 
     def test_profit_continuous_across_breakpoints(self):
         rng = np.random.default_rng(31)
@@ -154,12 +156,10 @@ class TestProfitCurve:
 class TestBestResponse:
     def test_unit_flanks_vertex(self):
         scn = flank_scenario()
-        pv = PriceVector.from_scenario(scn)
-        for method in ("auto", "scan", "pieces"):
-            br = best_response(scn, pv, 1, method=method)
-            assert br.price == pytest.approx(1.0, abs=1e-8)
-            assert br.profit == pytest.approx(1.0, abs=1e-9)
-            assert not br.wiped_out
+        br = best_response(scn, PriceVector.from_scenario(scn), 1)
+        assert br.price == pytest.approx(1.0, abs=1e-8)
+        assert br.profit == pytest.approx(1.0, abs=1e-9)
+        assert not br.wiped_out
 
     def test_statically_dead_company_reports_wiped_out(self):
         # brand pull beyond the threshold with cheap flanks: no entry at
@@ -178,26 +178,55 @@ class TestBestResponse:
             best_response(scn, PriceVector.from_scenario(scn), 0)
 
     def test_closed_form_matches_numeric_on_random_lines(self):
+        # the vertex walk against two references that share no code with
+        # it: the grid oracle's price scan on rasterized markets, and the
+        # argmax of a dense scan of exact profits
         rng = np.random.default_rng(12)
-        for _ in range(12):
+        price_samples = 301
+        for _ in range(4):
             scn = random_line_scenario(rng, q=0)
             pv = PriceVector.from_scenario(scn)
+            h = 1e-3 * max(scn.window.edges)
+            delta = scn.price_upper / (price_samples - 1)
             for c in scn.companies:
                 if c.frozen:
                     continue
-                auto = best_response(scn, pv, c.id, method="auto")
-                scan = best_response(scn, pv, c.id, method="scan")
-                assert auto.price == pytest.approx(scan.price, abs=1e-9)
-                assert auto.profit == pytest.approx(scan.profit, abs=1e-9)
+                br = best_response(scn, pv, c.id)
+                grid, profits = profit_curve(scn, pv, c.id, samples=10_000)
+                assert profits.max() - br.profit <= 1e-9 * br.profit
+                assert abs(br.price - grid[int(np.argmax(profits))]) <= grid[1]
+                p_grid, w_grid = grid_best_response(
+                    scn, pv, c.id, price_samples, GridSpec(h, scn.window)
+                )
+                # the raster misplaces each of the two borders by at most
+                # h, and the nearest grid price is within delta / 2 of the
+                # vertex of a profit parabola whose curvature is below 4
+                assert abs(w_grid - br.profit) <= 2.0 * h * p_grid + delta**2
+                assert utility(scn, pv, c.id, p_grid)[0] <= br.profit
 
     def test_piece_enumeration_agrees_with_scan(self):
+        # Each piece between breakpoints has a linear area; its vertex,
+        # clipped to the piece, is that piece's best price.  The best of
+        # those, the dense scan and the best response must agree.
         rng = np.random.default_rng(21)
         scn = random_line_scenario(rng, q=1)
         pv = PriceVector.from_scenario(scn)
         cid = next(c.id for c in scn.companies if not c.frozen)
-        pieces = best_response(scn, pv, cid, method="pieces")
-        scan = best_response(scn, pv, cid, method="scan")
-        assert pieces.profit == pytest.approx(scan.profit, rel=1e-8)
+        edges = [0.0, *find_breakpoints(scn, pv, cid), scn.price_upper]
+        enumerated = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+            s_a, s_b = utility(scn, pv, cid, a)[1], utility(scn, pv, cid, b)[1]
+            if s_a <= 0.0:
+                continue
+            slope = (s_b - s_a) / (b - a)
+            vertex = a / 2.0 - s_a / (2.0 * slope) if slope < 0.0 else hi
+            for price in (lo, hi, float(np.clip(vertex, lo, hi))):
+                enumerated = max(enumerated, utility(scn, pv, cid, price)[0])
+        _, profits = profit_curve(scn, pv, cid, samples=10_000)
+        br = best_response(scn, pv, cid)
+        assert br.profit == pytest.approx(enumerated, rel=1e-8)
+        assert profits.max() - br.profit <= 1e-9 * br.profit
 
     @pytest.mark.parametrize("kind", ["line", "line_q1", "plane"])
     def test_never_beaten_by_dense_scan(self, kind):
@@ -233,11 +262,75 @@ class TestBestResponse:
         assert profits.max() - br.profit <= 1e-6 * br.profit
 
 
+class TestSolveCount:
+    """Area solves per best response, counted through the solvers the
+    response module calls."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        calls = {"solves": 0, "responses": 0}
+        for name in ("fast_area", "fast_signature"):
+            original = getattr(response, name)
+
+            def counted(*args, _original=original):
+                calls["solves"] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(response, name, counted)
+
+        def counted_response(*args):
+            calls["responses"] += 1
+            return best_response(*args)
+
+        monkeypatch.setattr(equilibrium, "best_response", counted_response)
+        return calls
+
+    def test_lattice_center(self, counter):
+        scn = lattice_2d(n=7)
+        pv = PriceVector.from_scenario(scn)
+        center = 24
+        for prices in (pv, PriceVector(tuple(0.5 for _ in scn.companies))):
+            counter["solves"] = 0
+            br = best_response(scn, prices, center)
+            assert counter["solves"] <= 12
+        assert br.price == pytest.approx(0.5, abs=1e-9)
+
+    def test_brand_feedback_line(self, counter):
+        scn = random_line_scenario(np.random.default_rng(8000), q=1)
+        report = iterate_best_response(scn)
+        assert report.converged
+        assert counter["solves"] <= 12 * counter["responses"]
+
+
 class TestDerivative:
     def test_matches_parabola_slope(self):
-        # W = P (2 - P) so dW/dP = 2 - 2P
+        # W = P (2 - P) so dW/dP = S + P S' = 2 - 2P
         scn = flank_scenario()
         pv = PriceVector.from_scenario(scn)
         for p in (0.4, 1.0, 1.6):
-            g = profit_derivative(scn, pv, 1, p)
-            assert g == pytest.approx(2.0 - 2.0 * p, abs=1e-7)
+            at = fast_signature(scn, pv.with_price(scn, 1, p).as_array(), 1)
+            assert at.slope == -1.0
+            assert at.area + p * at.slope == pytest.approx(2.0 - 2.0 * p, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["line", "line_q1", "plane"])
+    def test_slope_matches_finite_difference(self, kind):
+        from helpers import random_scenario
+
+        rng = np.random.default_rng(300 + sum(map(ord, kind)))
+        scn = random_scenario(rng, kind)
+        pv = PriceVector.from_scenario(scn)
+        h = 1e-6 * scn.price_upper
+        probes = 0
+        for c in scn.companies:
+            if c.frozen:
+                continue
+            for p in rng.uniform(0.2, 1.8, size=5):
+                at = fast_signature(scn, pv.with_price(scn, c.id, p).as_array(), c.id)
+                if at.neighbors is None or any(
+                    neighbors_at(scn, pv, c.id, q) != at.neighbors for q in (p - h, p + h)
+                ):
+                    continue  # no cell, or the probe straddles a breakpoint
+                fd = (utility(scn, pv, c.id, p + h)[1] - utility(scn, pv, c.id, p - h)[1]) / (2 * h)
+                assert fd == pytest.approx(at.slope, rel=1e-6)
+                probes += 1
+        assert probes >= 5
