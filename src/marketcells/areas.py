@@ -14,9 +14,10 @@ eliminated one at a time until the survivor set is stable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .geometry import (
     ConvexPolygon,
     Interval,
     clip_cell,
+    clip_cells,
+    next_vertex,
     window_contact,
 )
 from .model import PriceVector, Scenario
@@ -39,6 +42,7 @@ __all__ = [
     "MarketPartition",
     "NeighborEdge",
     "WipeoutDiagnostics",
+    "areas_for_prices",
     "compute_wipeout_diagnostics",
     "solve_areas_q0",
     "solve_areas_q1_1d",
@@ -49,6 +53,20 @@ __all__ = [
 # Price-gap tolerance (relative to the price scale) for detecting exact
 # aggregate-price ties, which is what potential competitors are.
 _TIE_RTOL = 1e-8
+
+
+def _debug_logger():
+    """This module's logger when it has debug output on, else ``None``.
+
+    Without ``logging`` imported nothing can have switched debug output
+    on, so the module is not imported here: that keeps its import time
+    and memory off every run that does not log.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 @dataclass(frozen=True)
@@ -207,13 +225,21 @@ def _line_slope(x: np.ndarray, beta: float, slot: int) -> float:
     if n == 0:
         return 0.0
     d = np.diff(x)
+    dc = _price_direction(n, slot)
+    dr = dc / (2.0 * d) if beta == 0.0 else np.linalg.solve(_boundary_matrix(d, beta), dc)
+    return (dr[slot] if slot < n else 0.0) - (dr[slot - 1] if slot > 0 else 0.0)
+
+
+def _price_direction(n: int, slot: int) -> np.ndarray:
+    """Change of the ``n`` boundary equations' right-hand sides per unit
+    price of the active company at ``slot``: ``+1`` on the boundary left of
+    its cell, ``-1`` on the one right of it."""
     dc = np.zeros(n)
     if slot > 0:
         dc[slot - 1] = 1.0
     if slot < n:
         dc[slot] = -1.0
-    dr = dc / (2.0 * d) if beta == 0.0 else np.linalg.solve(_boundary_matrix(d, beta), dc)
-    return (dr[slot] if slot < n else 0.0) - (dr[slot - 1] if slot > 0 else 0.0)
+    return dc
 
 
 def _singular_message(x: np.ndarray, beta: float) -> str:
@@ -277,21 +303,16 @@ def _invasion(
     Aggregate-price fields share one curvature, so the gap between an
     outsider's field and the survivors' lower envelope is piecewise
     linear; checking it at the cell boundaries (window edges included)
-    is exhaustive.
+    is exhaustive.  ``p``, ``bounds``, ``areas`` and ``eps_price`` may carry
+    a leading axis of price rows; the answer then has one flag per row.
     """
     out = [k for k in range(len(x)) if k not in active]
     if not out:
-        return False
-    w = p[active] - beta * areas
-    xs = x[active]
-    envelope = np.min(
-        w[:, None] + (bounds[None, :] - xs[:, None]) ** 2, axis=0
-    )
-    for k in out:
-        field = p[k] + (bounds - x[k]) ** 2
-        if np.min(field - envelope) < -eps_price:
-            return True
-    return False
+        return eps_price < 0.0  # never: one False per row
+    w = p[..., active] - beta * areas
+    envelope = (w[..., :, None] + (bounds[..., None, :] - x[active][:, None]) ** 2).min(-2)
+    field = p[..., out, None] + (bounds[..., None, :] - x[out][:, None]) ** 2
+    return (field - envelope[..., None, :]).min((-2, -1)) < -eps_price
 
 
 def _solve_line(
@@ -448,15 +469,17 @@ def _cell_planes(
     """Half-plane family of company ``k`` against everyone else.
 
     The gap ``b_j - a_j . x`` equals the aggregate-price difference
-    between company ``j`` and company ``k`` at ``x``.
+    between company ``j`` and company ``k`` at ``x``.  ``weights`` may
+    carry a leading axis of weight vectors; the offsets then have one row
+    per vector, over the same normals.
     """
     others = np.arange(len(positions)) != k
     xo = positions[others]
     xi = positions[k]
     normals = 2.0 * (xo - xi)
     offsets = (
-        weights[others]
-        - weights[k]
+        weights[..., others]
+        - weights[..., k, None]
         + np.einsum("ij,ij->i", xo, xo)
         - float(xi @ xi)
     )
@@ -823,6 +846,238 @@ def fast_signature(
     return LocalSolve(
         _shoelace(verts), slope, frozenset(scenario.ids[j] for j in lengths)
     )
+
+
+# ---------------------------------------------------------------------------
+# Batched areas over a vector of own prices
+# ---------------------------------------------------------------------------
+
+# Prices solved together.  Each holds about 1.5 KB of work arrays in the
+# plane, and blocks of 1,024 raised the peak resident memory of the
+# benchmark's 10,000-price audits by about 2 MB.
+_BLOCK = 256
+
+
+def areas_for_prices(
+    scenario: Scenario, values: np.ndarray, company_id: int, prices: np.ndarray
+) -> np.ndarray:
+    """:func:`fast_area` of one company at every price in ``prices``.
+
+    Everyone else keeps their ``values`` entry.  Only the company's own
+    price moves, so on a line all prices that share a survivor set share
+    its boundaries ``r_a + P r_b`` (one solve with two right-hand sides),
+    and in the plane the cell keeps its half-plane normals while their
+    offsets shift by ``-P`` (one vectorised clip pass per half-plane).
+    Rows the batch cannot settle the way the scalar solve would (an
+    invasion on a line; close vertices or a loop cut below three vertices
+    in the plane) are re-solved by the scalar path.  Prices are solved in
+    blocks of ``_BLOCK``.
+    """
+    prices = np.asarray(prices, dtype=float)
+    k = scenario.index_of[company_id]
+    if scenario.dimension == 1:
+        out, sets, invaded = _line_areas(scenario, values, k, prices)
+        log = _debug_logger()
+        if log is not None:
+            log.debug(
+                "areas_for_prices: company %s, %d prices on a line, %d survivor "
+                "sets, %d rows re-solved by the scalar path (invasion fallback)",
+                company_id, len(prices), sets, invaded,
+            )
+        return out
+    out, passes, merged, short = _plane_areas(scenario, values, k, prices)
+    log = _debug_logger()
+    if log is not None:
+        log.debug(
+            "areas_for_prices: company %s, %d prices in the plane, %d half-plane "
+            "passes, %d rows re-solved by the scalar path (%d vertex merge, %d "
+            "under three vertices)",
+            company_id, len(prices), passes, merged + short, merged, short,
+        )
+    return out
+
+
+def _boundary_pencil(
+    x: np.ndarray,
+    p: np.ndarray,
+    beta: float,
+    lo: float,
+    hi: float,
+    slot: int | None,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """Boundaries of the active companies at ``x`` as the price of the one
+    at ``slot`` (``None``: it is not active) moves: ``r[:, 0] + P r[:, 1]``,
+    with ``p`` holding ``0`` at that slot.
+
+    Returns ``r`` and, under brand feedback, the residual ``A r - rhs`` and
+    the right-hand sides of both columns, from which each price gets the
+    residual check :func:`_line_boundaries` makes.
+    """
+    d = np.diff(x)
+    n = len(d)
+    direction = np.zeros(n) if slot is None else _price_direction(n, slot)
+    rhs = np.column_stack([np.diff(p) + np.diff(x * x), direction])
+    if beta == 0.0:
+        return rhs / (2.0 * d)[:, None], None
+    rhs[0, 0] -= beta * lo
+    rhs[-1, 0] -= beta * hi
+    A = _boundary_matrix(d, beta)
+    if np.linalg.cond(A) > 1e12:
+        raise SingularSystem(_singular_message(x, beta))
+    try:
+        r = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(_singular_message(x, beta)) from exc
+    return r, (A @ r - rhs, rhs)
+
+
+def _eliminate_rows(
+    x: np.ndarray,
+    beta: float,
+    candidates: list[int],
+    price: np.ndarray,
+    rows: np.ndarray,
+    eps_area: float,
+    bounds_at: Callable[[float, list[int], np.ndarray], np.ndarray],
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`_feedback_loop` at the prices ``price[rows]`` at once.
+
+    Rows whose elimination removes the same company stay together, so
+    each survivor set met gets one call ``bounds_at(beta, active,
+    prices)``, which returns every row's window edges and boundaries.
+    Yields ``(active, rows, bounds, areas)`` per stable survivor set.
+    """
+    stack = [(list(candidates), rows)]
+    while stack:
+        active, rows = stack.pop()
+        bounds = bounds_at(beta, active, price[rows])
+        areas = np.diff(bounds, axis=1)
+        if len(active) > 1:
+            worst = np.argmin(areas, axis=1)
+            cut = areas[np.arange(len(rows)), worst] <= eps_area
+            for j in np.flatnonzero(np.bincount(worst[cut], minlength=len(active))):
+                stack.append((active[:j] + active[j + 1 :], rows[cut & (worst == j)]))
+            rows, bounds, areas = rows[~cut], bounds[~cut], areas[~cut]
+            if len(rows) == 0:
+                continue
+            if beta > 0.0:
+                thresholds = _line_thresholds(x[active])
+                if float(np.min(thresholds)) <= beta:
+                    j = int(np.argmin(thresholds))
+                    stack.append((active[:j] + active[j + 1 :], rows))
+                    continue
+        yield active, rows, bounds, areas
+
+
+def _line_areas(
+    scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """``_solve_line``'s sequence on groups of prices sharing a survivor
+    set: brand-free elimination, brand elimination from its survivors,
+    then the invasion test.  Invaded rows go through ``_solve_line``
+    itself, damped fallback included.  Returns the areas, the number of
+    survivor sets solved and the number of invaded rows."""
+    order, xs = _line_layout(scenario)
+    x = np.array(xs)
+    p = values[list(order)]
+    f = order.index(k)
+    p[f] = 0.0
+    beta = scenario.beta if scenario.q == 1 else 0.0
+    lo, hi = scenario.window.lo[0], scenario.window.hi[0]
+    eps_area = area_tolerance(scenario)
+    eps_price = 1e-9 * max(1.0, float(np.abs(p).max()), (hi - lo) ** 2)
+    pencils: dict[tuple[float, tuple[int, ...]], tuple] = {}
+    out = np.zeros(len(prices))
+    invaded_rows = 0
+
+    def bounds_at(b: float, active: list[int], price: np.ndarray) -> np.ndarray:
+        bounds = np.empty((len(price), len(active) + 1))
+        bounds[:, 0], bounds[:, -1] = lo, hi
+        if len(active) == 1:
+            return bounds
+        key = (b, tuple(active))
+        if key not in pencils:
+            slot = active.index(f) if f in active else None
+            pencils[key] = _boundary_pencil(x[active], p[active], b, lo, hi, slot)
+        r, check = pencils[key]
+        price = price[:, None]
+        bounds[:, 1:-1] = r[:, 0] + price * r[:, 1]
+        if check is not None:
+            residual, rhs = (m[:, 0] + price * m[:, 1] for m in check)
+            scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
+            if not np.all(np.isfinite(bounds)) or np.any(
+                np.abs(residual).max(axis=1) > 1e-6 * scale
+            ):
+                raise SingularSystem(_singular_message(x[active], b))
+        return bounds
+
+    everyone = list(range(len(x)))
+    for start in range(0, len(prices), _BLOCK):
+        price_block = prices[start : start + _BLOCK]
+        leaves = _eliminate_rows(
+            x, 0.0, everyone, price_block, np.arange(len(price_block)), eps_area, bounds_at
+        )
+        if beta > 0.0:
+            leaves = (
+                leaf
+                for base, rows, _, _ in leaves
+                for leaf in _eliminate_rows(
+                    x, beta, base, price_block, rows, eps_area, bounds_at
+                )
+            )
+        for active, rows, bounds, areas in leaves:
+            if beta > 0.0:
+                p_rows = np.tile(p, (len(rows), 1))
+                p_rows[:, f] = price_block[rows]
+                invaded = _invasion(
+                    x, p_rows, beta, active, bounds, areas,
+                    np.maximum(eps_price, 1e-9 * np.abs(price_block[rows])),
+                )
+                for row, p_row in zip(rows[invaded], p_rows[invaded]):
+                    kept, _, kept_areas = _solve_line(x, p_row, beta, lo, hi, eps_area)
+                    out[start + row] = kept_areas[kept.index(f)] if f in kept else 0.0
+                invaded_rows += int(np.count_nonzero(invaded))
+                rows, areas = rows[~invaded], areas[~invaded]
+            if f in active:
+                out[start + rows] = areas[:, active.index(f)]
+    return out, len(pencils), invaded_rows
+
+
+def _plane_areas(
+    scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
+) -> tuple[np.ndarray, int, int, int]:
+    """``focal_cell_2d`` areas for every price through one batched clip
+    per block.  Rows with two consecutive vertices within the merge
+    tolerance, or cut to one or two vertices, are re-solved by
+    :func:`fast_area`.  Returns the areas, the clip passes and the counts
+    of both kinds of re-solved row."""
+    window = scenario.window
+    tol = EPS_GEOM * max(1.0, window.diameter)
+    company_id = scenario.ids[k]
+    out = np.zeros(len(prices))
+    passes = merged = short = 0
+    for start in range(0, len(prices), _BLOCK):
+        price_block = prices[start : start + _BLOCK]
+        weights = np.tile(values, (len(price_block), 1))
+        weights[:, k] = price_block
+        normals, offsets, _ = _cell_planes(scenario.positions, weights, k)
+        verts, counts, n_pass = clip_cells(scenario.positions[k], normals, offsets, window)
+        passes += n_pass
+        loop = np.arange(verts.shape[1]) < counts[:, None]
+        following = np.take_along_axis(verts, next_vertex(counts, verts.shape[1])[..., None], axis=1)
+        gap = np.hypot(*(following - verts).transpose(2, 0, 1))
+        close = (counts >= 3) & np.any(loop & (gap <= tol), axis=1)
+        cut_short = (counts == 1) | (counts == 2)
+        x, y = np.where(loop, verts[..., 0], 0.0), np.where(loop, verts[..., 1], 0.0)
+        xn, yn = following[..., 0], following[..., 1]
+        area = 0.5 * (np.sum(x * yn, axis=1) - np.sum(y * xn, axis=1))
+        area[counts < 3] = 0.0
+        for row in np.flatnonzero(close | cut_short):
+            area[row] = fast_area(scenario, weights[row], company_id)
+        out[start : start + len(price_block)] = area
+        merged += int(np.count_nonzero(close))
+        short += int(np.count_nonzero(cut_short))
+    return out, passes, merged, short
 
 
 def compute_wipeout_diagnostics(

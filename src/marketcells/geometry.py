@@ -210,6 +210,90 @@ def clip_cell(
     return verts
 
 
+def clip_cells(
+    anchor: np.ndarray,
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    window: Box,
+    eps: float = EPS_GEOM,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`clip_cell` for cells that share their normals, one row of
+    ``offsets`` per cell, clipped together.
+
+    Every pass cuts each row with its own next-nearest half-plane, all
+    rows at once, as ``clip_by_halfplane`` would.  A row stops once its
+    next boundary lies beyond its farthest vertex, and also once it is cut
+    below three vertices; the passes stop when every row has.  No vertex
+    merging happens here.  Returns ``(verts, counts, passes)``: ``verts``
+    is ``(rows, width, 2)``, row ``r`` holding its loop in its first
+    ``counts[r]`` entries.
+    """
+    rows = offsets.shape[0]
+    scale = max(1.0, window.diameter)
+    verts = np.tile(window.corners(), (rows, 1, 1))
+    counts = np.full(rows, 4)
+    if len(normals) == 0:
+        return verts, counts, 0
+    norms = np.hypot(normals[:, 0], normals[:, 1])
+    t = (offsets - normals @ anchor) / norms
+    order = np.argsort(t, axis=1)
+    t = np.take_along_axis(t, order, axis=1)
+    live = np.arange(rows)
+    passes = 0
+    for i in range(len(normals)):
+        v = verts[live]
+        loop = np.arange(v.shape[1]) < counts[live, None]
+        rho = np.max(np.where(loop, np.hypot(*(v - anchor).transpose(2, 0, 1)), 0.0), axis=1)
+        near = t[live, i] < rho + eps * scale
+        live, v = live[near], v[near]
+        if len(live) == 0:
+            break
+        passes += 1
+        plane = order[live, i]
+        cut, cut_counts = _clip_rows(v, counts[live], normals[plane], offsets[live, plane])
+        if cut.shape[1] > verts.shape[1]:
+            verts = np.concatenate(
+                [verts, np.zeros((rows, cut.shape[1] - verts.shape[1], 2))], axis=1
+            )
+        verts[live, : cut.shape[1]] = cut
+        counts[live] = cut_counts
+        live = live[cut_counts >= 3]
+    return verts, counts, passes
+
+
+def next_vertex(counts: np.ndarray, width: int) -> np.ndarray:
+    """Index of each vertex's successor in padded loops of ``counts``
+    vertices (``0`` after the last one)."""
+    k = np.arange(1, width + 1)
+    return np.where(k < counts[:, None], k, 0)
+
+
+def _clip_rows(
+    verts: np.ndarray, counts: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Sutherland-Hodgman pass per row: loop ``r`` (its first
+    ``counts[r]`` vertices) cut by ``a[r] . x <= b[r]``."""
+    width = verts.shape[1]
+    loop = np.arange(width) < counts[:, None]
+    s = (verts @ a[:, :, None])[..., 0] - b[:, None]
+    following = next_vertex(counts, width)
+    s_next = np.take_along_axis(s, following, axis=1)
+    inside = loop & (s <= 0.0)
+    crossing = loop & (inside != (s_next <= 0.0))
+    emitted = inside.astype(np.intp) + crossing
+    slot = np.cumsum(emitted, axis=1) - emitted
+    cut_counts = emitted.sum(axis=1)
+    cut = np.zeros((len(verts), max(1, int(cut_counts.max())), 2))
+    row = np.broadcast_to(np.arange(len(verts))[:, None], loop.shape)
+    cut[row[inside], slot[inside]] = verts[inside]
+    v_next = np.take_along_axis(verts, following[..., None], axis=1)[crossing]
+    sk, sk2, vk = s[crossing], s_next[crossing], verts[crossing]
+    cut[row[crossing], slot[crossing] + inside[crossing]] = (
+        vk + (sk / (sk - sk2))[:, None] * (v_next - vk)
+    )
+    return cut, cut_counts
+
+
 def window_contact(verts: np.ndarray, window: Box, eps: float = EPS_GEOM) -> bool:
     """True when some polygon edge lies on the window boundary."""
     if len(verts) == 0:

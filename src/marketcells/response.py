@@ -19,7 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .areas import LocalSolve, area_tolerance, fast_area, fast_signature
+from .areas import (
+    LocalSolve,
+    area_tolerance,
+    areas_for_prices,
+    fast_area,
+    fast_signature,
+)
 from .errors import ValidationError
 from .model import PriceVector, Scenario
 
@@ -74,14 +80,6 @@ def utility(
     return price * area, area
 
 
-def _area_at(
-    scenario: Scenario, prices: PriceVector, company_id: int, price: float
-) -> float:
-    return fast_area(
-        scenario, _values_with(scenario, prices, company_id, price), company_id
-    )
-
-
 def _neighbors(
     scenario: Scenario, prices: PriceVector, company_id: int, price: float
 ) -> frozenset[int] | None:
@@ -123,8 +121,6 @@ def find_breakpoints(
 # Dense profit curves
 # ---------------------------------------------------------------------------
 
-_COARSE_STRIDE = 8
-
 
 def profit_curve(
     scenario: Scenario,
@@ -134,55 +130,13 @@ def profit_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profit at ``samples`` evenly spaced prices over [0, price_upper].
 
-    Exploits the piecewise-polynomial area structure: areas are solved
-    exactly on a coarse subgrid, and a span is filled from the local
-    quadratic only where the third difference of four coarse areas is
-    within ``1e-8`` of the largest area.  Spans failing the test are solved
-    exactly point by point.  The test does not certify that no breakpoint
-    interrupts a span, so a filled profit is not exact: on 2D curves it has
-    strayed from an exact solve by up to ``3.5e-9`` relative, enough to
-    break a ``1e-9`` unimodality bound.  Coarse samples and unfilled spans
-    are exact up to roundoff.
+    Every sample is an exact area solve (:func:`areas_for_prices`), so
+    the curve is exact up to roundoff.
     """
-    upper = scenario.price_upper
-    grid = np.linspace(0.0, upper, samples)
-    area = np.full(samples, np.nan)
-
-    coarse = list(range(0, samples, _COARSE_STRIDE))
-    if coarse[-1] != samples - 1:
-        coarse.append(samples - 1)
-    for k in coarse:
-        area[k] = _area_at(scenario, prices, company_id, float(grid[k]))
-
-    tol = 1e-8 * max(1.0, float(np.nanmax(area)))
-
-    def exact_fill(a: int, b: int) -> None:
-        for k in range(a, b):
-            if np.isnan(area[k]):
-                area[k] = _area_at(scenario, prices, company_id, float(grid[k]))
-
-    for t in range(len(coarse) - 1):
-        m1, m2 = coarse[t], coarse[t + 1]
-        if m2 - m1 < 2:
-            continue
-        window = [coarse[t + s] for s in (-1, 0, 1, 2) if 0 <= t + s < len(coarse)]
-        uniform = len(window) == 4 and len({window[s + 1] - window[s] for s in range(3)}) == 1
-        if uniform:
-            s0, s1, s2, s3 = (area[k] for k in window)
-            clean = abs(s0 - 3.0 * s1 + 3.0 * s2 - s3) <= tol
-        else:
-            clean = False
-        if clean:
-            # Quadratic through the three left points, evaluated exactly.
-            x = grid[window[:3]]
-            y = area[window[:3]]
-            c = np.polyfit(x, y, 2)
-            ks = np.arange(m1 + 1, m2)
-            area[ks] = np.polyval(c, grid[ks])
-        else:
-            exact_fill(m1 + 1, m2)
-
-    return grid, grid * area
+    if samples < 1:
+        raise ValidationError(f"a profit curve needs at least one sample, got {samples}")
+    grid = np.linspace(0.0, scenario.price_upper, samples)
+    return grid, grid * areas_for_prices(scenario, prices.as_array(), company_id, grid)
 
 
 def unimodality_defect(profits: np.ndarray) -> float:

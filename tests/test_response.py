@@ -1,22 +1,30 @@
 """Profit curves, breakpoints, and best responses."""
 
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import marketcells.areas as areas
 import marketcells.equilibrium as equilibrium
 import marketcells.response as response
 from marketcells import (
+    Box,
+    Company,
     GridSpec,
     PriceVector,
+    Scenario,
     ValidationError,
     best_response,
     find_breakpoints,
     grid_best_response,
     iterate_best_response,
+    load_scenario,
     profit_curve,
     utility,
 )
-from marketcells.areas import fast_signature
+from marketcells.areas import areas_for_prices, fast_signature
 from marketcells.response import unimodality_defect
 
 from helpers import (
@@ -24,8 +32,11 @@ from helpers import (
     line_scenario,
     random_line_scenario,
     random_plane_scenario,
+    random_scenario,
     triple_q1,
 )
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 def neighbors_at(scn, pv, cid, price):
@@ -132,25 +143,92 @@ class TestBreakpoints:
                 assert abs(w_hi - w_lo) < 1e-7 * w_scale
 
 
-class TestProfitCurve:
-    @pytest.mark.parametrize("kind", ["line", "line_q1", "plane"])
-    def test_fill_matches_exact_solves(self, kind):
-        from helpers import random_scenario
+def brand_triple(beta):
+    """The demo ``brand_triple`` market at brand weight ``beta``."""
+    return load_scenario((DEMOS / "brand_triple.json").read_text()).with_beta(beta)
 
-        rng = np.random.default_rng(sum(map(ord, kind)))
-        scn = random_scenario(rng, kind)
+
+def ring_market_18():
+    """Three free companies inside a frozen ring of eight.  The dense curve
+    of company 0 once broke unimodality by 3.5e-9 relative, when profit
+    curves filled spans from a quadratic instead of solving every price."""
+    focal = [
+        ((2.8859743656723325, 2.2293255483200527), 0.9194439023516361),
+        ((2.1529846760523133, 3.5812996612879764), 0.6092492631765913),
+        ((3.57457454767984, 3.765362246778571), 0.8015711793531495),
+    ]
+    ring = [
+        ((4.668699709062386, 4.5882434426645595), 1.2807455187048722),
+        ((2.7305810916795603, 5.2884893557377834), 1.2657009199053804),
+        ((1.1815868490032155, 4.237893881751923), 1.0739439080390538),
+        ((0.7015919186437944, 3.197979826850617), 0.9046345303370651),
+        ((1.7791677150790253, 1.3832900403347568), 0.9581631851032592),
+        ((3.4154954873448884, 0.8934912745646), 1.281537865507725),
+        ((4.330212359483026, 1.3894365670488915), 0.9431374073857539),
+        ((4.947093905886792, 3.6050416746633056), 1.3701098232356737),
+    ]
+    companies = tuple(
+        Company(k, position, price, k >= len(focal))
+        for k, (position, price) in enumerate(focal + ring)
+    )
+    return Scenario(
+        dimension=2,
+        beta=0.0,
+        q=0,
+        companies=companies,
+        focal_box_half=8.0,
+        price_upper=8.0,
+        window=Box((-0.8, -0.8), (6.8, 6.8)),
+    )
+
+
+def curve_market(name):
+    """A random helpers market by kind, or ``triple-<beta>``: the demo
+    triple, whose curves cross threshold elimination and rows sent to the
+    damped fallback."""
+    if name.startswith("triple-"):
+        return brand_triple(float(name.removeprefix("triple-")))
+    return random_scenario(np.random.default_rng(sum(map(ord, name))), name)
+
+
+class TestProfitCurve:
+    @pytest.mark.parametrize(
+        "market", ["line", "line_q1", "plane", "triple-0.3", "triple-0.9", "triple-1.2"]
+    )
+    def test_exact_at_every_sample(self, market):
+        scn = curve_market(market)
         pv = PriceVector.from_scenario(scn)
-        cid = next(c.id for c in scn.companies if not c.frozen)
-        grid, profits = profit_curve(scn, pv, cid, samples=3_000)
-        check = np.random.default_rng(0).choice(len(grid), size=80, replace=False)
-        for k in check:
-            w, _ = utility(scn, pv, cid, float(grid[k]))
-            assert profits[k] == pytest.approx(w, rel=1e-9, abs=1e-11)
+        for c in scn.companies:
+            if c.frozen:
+                continue
+            grid = np.linspace(0.0, scn.price_upper, 1_000)
+            batch = areas_for_prices(scn, pv.as_array(), c.id, grid)
+            scalar = np.array([utility(scn, pv, c.id, float(p))[1] for p in grid])
+            assert np.max(np.abs(batch - scalar)) <= 1e-12 * scalar.max()
+            _, profits = profit_curve(scn, pv, c.id, samples=1_000)
+            assert np.array_equal(profits, grid * batch)
+
+    def test_ring_market_curve_is_unimodal(self):
+        scn = ring_market_18()
+        _, profits = profit_curve(scn, PriceVector.from_scenario(scn), 0, samples=10_000)
+        assert profits.max() > 0.0
+        assert unimodality_defect(profits) == 0.0
 
     def test_unimodal_on_flanks(self):
         scn = flank_scenario()
         _, profits = profit_curve(scn, PriceVector.from_scenario(scn), 1, samples=5_000)
         assert unimodality_defect(profits) == 0.0
+
+    def test_needs_a_sample(self):
+        scn = random_scenario(np.random.default_rng(5), "line")
+        pv = PriceVector.from_scenario(scn)
+        cid = next(c.id for c in scn.companies if not c.frozen)
+        with pytest.raises(ValidationError, match="at least one sample"):
+            profit_curve(scn, pv, cid, samples=0)
+        with pytest.raises(ValidationError, match="at least one sample"):
+            equilibrium.audit_unilateral_deviations(scn, pv, samples=0)
+        grid, profits = profit_curve(scn, pv, cid, samples=1)
+        assert grid.tolist() == [0.0] and profits.tolist() == [0.0]
 
 
 class TestBestResponse:
@@ -300,6 +378,51 @@ class TestSolveCount:
         report = iterate_best_response(scn)
         assert report.converged
         assert counter["solves"] <= 12 * counter["responses"]
+
+
+class TestCurveSolveCount:
+    """A dense profit curve solves each survivor set once on a line and
+    clips every price together in the plane, counted by monkeypatching
+    the area module's solvers."""
+
+    def test_brand_line_boundary_solves(self, monkeypatch):
+        solves = {"n": 0}
+        for name in ("_boundary_pencil", "_line_boundaries"):
+            original = getattr(areas, name)
+
+            def counted(*args, _original=original):
+                solves["n"] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(areas, name, counted)
+        scn = random_line_scenario(np.random.default_rng(8000), q=1)
+        pv = PriceVector.from_scenario(scn)
+        for c in scn.companies:
+            if c.frozen:
+                continue
+            solves["n"] = 0
+            profit_curve(scn, pv, c.id, samples=10_000)
+            assert 1 <= solves["n"] <= 30
+
+    @pytest.mark.parametrize("samples", [4_001, 10_000])
+    def test_plane_scalar_clips_only_for_fallback_rows(self, monkeypatch, caplog, samples):
+        clips = {"n": 0}
+
+        def counted(*args):
+            clips["n"] += 1
+            return clip_cell(*args)
+
+        clip_cell = areas.clip_cell
+        monkeypatch.setattr(areas, "clip_cell", counted)
+        # at 4,001 samples the grid holds price 1, where the center cell's
+        # corners meet four cells at once and its vertices merge
+        scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
+        with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
+            profit_curve(scn, PriceVector.from_scenario(scn), 12, samples=samples)
+        (record,) = caplog.records
+        resolved = record.args[3]
+        assert clips["n"] == resolved
+        assert resolved == (1 if samples == 4_001 else 0)
 
 
 class TestDerivative:
