@@ -33,7 +33,6 @@ from .equilibrium import (
 )
 from .errors import (
     BoundaryCompany,
-    DegeneratePair,
     MarketCellsError,
     NoStableSurvivorSet,
     NoValidScheme,
@@ -43,22 +42,12 @@ from .errors import (
     ValidationError,
     WindowTooSmall,
 )
-from .geometry import (
-    CellResult,
-    ConvexPolygon,
-    HalfPlane,
-    Interval,
-    bisector,
-    intersect_halfplanes,
-    polygon_area,
-    shared_edge,
-)
+from .geometry import ConvexPolygon, Interval
 from .model import (
     Box,
     Company,
     PriceVector,
     Scenario,
-    aggregate_price,
     emit_scenario,
     load_scenario,
 )
@@ -79,15 +68,12 @@ __all__ = [
     "BestResponse",
     "BoundaryCompany",
     "Box",
-    "CellResult",
     "Company",
     "CompanyConditions",
     "ConvexPolygon",
-    "DegeneratePair",
     "DeviationAudit",
     "EquilibriumReport",
     "GridSpec",
-    "HalfPlane",
     "Interval",
     "MarketCellsError",
     "MarketPartition",
@@ -103,25 +89,20 @@ __all__ = [
     "ValidationError",
     "WindowTooSmall",
     "WipeoutDiagnostics",
-    "aggregate_price",
     "audit_unilateral_deviations",
     "best_response",
-    "bisector",
     "compute_wipeout_diagnostics",
     "construct_activation",
     "emit_scenario",
     "find_breakpoints",
     "grid_best_response",
     "grid_partition",
-    "intersect_halfplanes",
     "iterate_best_response",
     "load_scenario",
     "multi_start",
-    "polygon_area",
     "profit_curve",
     "report_to_dict",
     "render_partition_svg",
-    "shared_edge",
     "solve_areas_q0",
     "solve_areas_q1_1d",
     "solve_partition",

@@ -33,6 +33,7 @@ from .geometry import (
     Interval,
     clip_cell,
     clip_cells,
+    loop_area,
     next_vertex,
     window_contact,
 )
@@ -373,21 +374,16 @@ def _solve_line(
     return active, bounds, areas
 
 
-def _order_1d(scenario: Scenario) -> tuple[np.ndarray, list[int]]:
-    """Positions sorted ascending plus matching company ids."""
-    pairs = sorted((c.position[0], c.id) for c in scenario.companies)
-    return np.array([pos for pos, _ in pairs]), [cid for _, cid in pairs]
-
-
 def _partition_1d(
     scenario: Scenario,
     prices: PriceVector,
     beta: float,
     check_window: bool,
 ) -> MarketPartition:
-    x, ids = _order_1d(scenario)
-    price_by_id = prices.to_mapping(scenario)
-    p = np.array([price_by_id[cid] for cid in ids])
+    order, xs = line_layout(scenario)
+    x = np.array(xs)
+    ids = [scenario.ids[k] for k in order]
+    p = prices.as_array()[list(order)]
     lo, hi = scenario.window.lo[0], scenario.window.hi[0]
     eps_area = area_tolerance(scenario)
 
@@ -547,7 +543,7 @@ def _partition_2d(
         verts = focal_cell_2d(scenario, weights, k)
         loops.append(verts)
         if len(verts) >= 3:
-            areas_by_index[k] = _shoelace(verts)
+            areas_by_index[k] = loop_area(verts)
 
     surviving = areas_by_index > eps_area
 
@@ -646,25 +642,16 @@ def _partition_2d(
 def solve_areas_q0(
     scenario: Scenario,
     prices: PriceVector,
-    brand_areas: dict[int, float] | None = None,
     check_window: bool = True,
 ) -> MarketPartition:
     """Partition for fixed additive weights.
 
     When ``q = 0`` the brand bonus cancels, so the weights are the prices
-    themselves.  Passing ``brand_areas`` evaluates one inner step of the
-    ``q = 1`` problem at those frozen areas instead.
+    themselves.
     """
-    p = prices.as_array()
-    if scenario.q == 1 and brand_areas is not None:
-        bonus = np.array([brand_areas.get(cid, 0.0) for cid in scenario.ids])
-        weights = p - scenario.beta * bonus
-    else:
-        weights = p
     if scenario.dimension == 1:
-        shifted = PriceVector(tuple(weights))
-        return _partition_1d(scenario, shifted, beta=0.0, check_window=check_window)
-    return _partition_2d(scenario, weights, check_window)
+        return _partition_1d(scenario, prices, beta=0.0, check_window=check_window)
+    return _partition_2d(scenario, prices.as_array(), check_window)
 
 
 def solve_areas_q1_1d(
@@ -685,7 +672,7 @@ def solve_partition(
 ) -> MarketPartition:
     """Dispatch to the solver matching the scenario's brand exponent."""
     if scenario.q == 1:
-        return solve_areas_q1_1d(scenario, prices, check_window)[0]
+        return _partition_1d(scenario, prices, scenario.beta, check_window)
     return solve_areas_q0(scenario, prices, check_window=check_window)
 
 
@@ -709,13 +696,13 @@ def _flanking_survivors(
 def _psi_terms(
     scenario: Scenario,
     prices: PriceVector,
-    part: MarketPartition,
+    areas: dict[int, float],
     company_id: int,
     left: int,
     right: int,
 ) -> tuple[float, float, float]:
     """Threshold, survival margin and hidden-entry boundary for one
-    company given its flanking survivors and their areas in ``part``."""
+    company given its flanking survivors and their ``areas`` (by id)."""
     beta = scenario.beta
     x0 = scenario.company(company_id).position[0]
     xl = scenario.company(left).position[0]
@@ -724,7 +711,7 @@ def _psi_terms(
     p0 = prices.price_of(scenario, company_id)
     pl = prices.price_of(scenario, left)
     pr = prices.price_of(scenario, right)
-    sl, sr = part.areas[left], part.areas[right]
+    sl, sr = areas[left], areas[right]
     threshold = wipeout_threshold(d_left, d_right)
     psi = (pr + d_right**2 - beta * sr - p0) / (2.0 * d_right) + (
         pl + d_left**2 - beta * sl - p0
@@ -747,7 +734,7 @@ def _diagnostics_from_partition(
         left, right = _flanking_survivors(scenario, part, c.id)
         if left is None or right is None:
             continue
-        thr, margin, r_entry = _psi_terms(scenario, prices, part, c.id, left, right)
+        thr, margin, r_entry = _psi_terms(scenario, prices, part.areas, c.id, left, right)
         thresholds[c.id] = thr
         psi[c.id] = margin
         entry[c.id] = r_entry
@@ -755,7 +742,7 @@ def _diagnostics_from_partition(
 
 
 @lru_cache(maxsize=256)
-def _line_layout(scenario: Scenario) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def line_layout(scenario: Scenario) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Company indices sorted by position, plus the sorted positions."""
     order = sorted(range(len(scenario.companies)), key=lambda k: scenario.positions[k, 0])
     return tuple(order), tuple(float(scenario.positions[k, 0]) for k in order)
@@ -775,7 +762,7 @@ def _solve_sorted_line(
 ) -> tuple[tuple[int, ...], np.ndarray, list[int], np.ndarray]:
     """``_solve_line`` on a line scenario's sorted positions: returns the
     sort order, the sorted positions, the active slots and their areas."""
-    order, xs = _line_layout(scenario)
+    order, xs = line_layout(scenario)
     x = np.array(xs)
     beta = scenario.beta if scenario.q == 1 else 0.0
     active, _, areas = _solve_line(
@@ -783,11 +770,6 @@ def _solve_sorted_line(
         area_tolerance(scenario),
     )
     return order, x, active, areas
-
-
-def _shoelace(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
@@ -803,7 +785,7 @@ def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
         slot = {order[a]: s for s, a in enumerate(active)}.get(k)
         return float(areas[slot]) if slot is not None else 0.0
     verts = focal_cell_2d(scenario, values, k)
-    return _shoelace(verts) if len(verts) >= 3 else 0.0
+    return loop_area(verts) if len(verts) >= 3 else 0.0
 
 
 def fast_signature(
@@ -844,7 +826,7 @@ def fast_signature(
         for j, seg in lengths.items()
     )
     return LocalSolve(
-        _shoelace(verts), slope, frozenset(scenario.ids[j] for j in lengths)
+        loop_area(verts), slope, frozenset(scenario.ids[j] for j in lengths)
     )
 
 
@@ -977,7 +959,7 @@ def _line_areas(
     then the invasion test.  Invaded rows go through ``_solve_line``
     itself, damped fallback included.  Returns the areas, the number of
     survivor sets solved and the number of invaded rows."""
-    order, xs = _line_layout(scenario)
+    order, xs = line_layout(scenario)
     x = np.array(xs)
     p = values[list(order)]
     f = order.index(k)
@@ -1095,16 +1077,15 @@ def compute_wipeout_diagnostics(
     """
     if scenario.dimension != 1:
         raise ValueError("wipe-out diagnostics are defined on 1D markets")
-    x, ids = _order_1d(scenario)
-    keep = [k for k, cid in enumerate(ids) if cid != company_id]
-    price_by_id = prices.to_mapping(scenario)
-    p = np.array([price_by_id[ids[k]] for k in keep])
+    order, _ = line_layout(scenario)
+    keep = [k for k in order if scenario.ids[k] != company_id]
     lo, hi = scenario.window.lo[0], scenario.window.hi[0]
     beta = scenario.beta if scenario.q == 1 else 0.0
     active, _, hidden_areas = _solve_line(
-        x[keep], p, beta, lo, hi, area_tolerance(scenario)
+        scenario.positions[keep, 0], prices.as_array()[keep], beta, lo, hi,
+        area_tolerance(scenario),
     )
-    hidden_ids = [ids[keep[k]] for k in active]
+    hidden_ids = [scenario.ids[keep[a]] for a in active]
     x0 = scenario.company(company_id).position[0]
     left = right = None
     for cid in hidden_ids:
@@ -1118,12 +1099,4 @@ def compute_wipeout_diagnostics(
             f"company {company_id} lacks a surviving neighbor on one side"
         )
     area_by_id = dict(zip(hidden_ids, hidden_areas))
-    fake = MarketPartition(
-        dimension=1,
-        cells={},
-        areas=area_by_id,
-        neighbors={},
-        survivors=frozenset(hidden_ids),
-        potential_competitors={},
-    )
-    return _psi_terms(scenario, prices, fake, company_id, left, right)
+    return _psi_terms(scenario, prices, area_by_id, company_id, left, right)

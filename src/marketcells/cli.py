@@ -135,7 +135,11 @@ def _dump(doc, out: str | None) -> None:
 
 
 def _partition_doc(scenario: Scenario, prices: PriceVector) -> dict:
-    part = solve_partition(scenario, prices)
+    wipeout = None
+    if scenario.q == 1:
+        part, wipeout = solve_areas_q1_1d(scenario, prices)
+    else:
+        part = solve_partition(scenario, prices)
     doc = {
         "dimension": scenario.dimension,
         "areas": {str(cid): a for cid, a in sorted(part.areas.items())},
@@ -161,8 +165,8 @@ def _partition_doc(scenario: Scenario, prices: PriceVector) -> dict:
             str(cid): _cell_doc(cell) for cid, cell in sorted(part.cells.items())
         },
     }
-    if scenario.q == 1:
-        doc["wipeout"] = solve_areas_q1_1d(scenario, prices)[1].to_dict()
+    if wipeout is not None:
+        doc["wipeout"] = wipeout.to_dict()
     return doc
 
 
@@ -226,10 +230,10 @@ def _cmd_equilibrium(args) -> int:
         )
         doc["multi_start"] = [
             {
-                "initial": {str(k): v for k, v in r.initial.to_mapping(scenario).items()},
+                "initial": r.initial.to_doc(scenario),
                 "converged": r.converged,
                 "iterations": r.iterations,
-                "prices": {str(k): v for k, v in r.prices.to_mapping(scenario).items()},
+                "prices": r.prices.to_doc(scenario),
             }
             for r in extra
         ]
@@ -266,7 +270,7 @@ def _cmd_sweep_beta(args) -> int:
             entry.update(
                 converged=report.converged,
                 iterations=report.iterations,
-                prices={str(k2): v for k2, v in report.prices.to_mapping(scn).items()},
+                prices=report.prices.to_doc(scn),
                 survivors=sorted(eq_part.survivors),
             )
             if scn.q == 1 and report.activation is not None:

@@ -21,6 +21,7 @@ from .areas import (
     MarketPartition,
     WipeoutDiagnostics,
     area_tolerance,
+    line_layout,
     solve_areas_q1_1d,
     solve_partition,
     wipeout_threshold,
@@ -109,7 +110,8 @@ class DeviationAudit:
 
 
 def _sorted_by_position(scenario: Scenario, ids) -> list[int]:
-    return sorted(ids, key=lambda cid: scenario.company(cid).position[0])
+    keep = set(ids)
+    return [scenario.ids[k] for k in line_layout(scenario)[0] if scenario.ids[k] in keep]
 
 
 def _own_threshold(scenario: Scenario, active: set[int], cid: int) -> float:
@@ -531,12 +533,12 @@ def multi_start(
 def report_to_dict(scenario: Scenario, report: EquilibriumReport) -> dict:
     """JSON-ready view of a report; company ids become string keys."""
     doc: dict = {
-        "prices": {str(cid): p for cid, p in report.prices.to_mapping(scenario).items()},
+        "prices": report.prices.to_doc(scenario),
         "converged": report.converged,
         "iterations": report.iterations,
         "residual": report.residual,
         "schedule": report.schedule,
-        "initial": {str(cid): p for cid, p in report.initial.to_mapping(scenario).items()},
+        "initial": report.initial.to_doc(scenario),
         "activation": None,
         "per_company": {
             str(cid): {
@@ -561,10 +563,7 @@ def report_to_dict(scenario: Scenario, report: EquilibriumReport) -> dict:
             "hidden": sorted(report.activation.hidden),
         }
     if report.cycle is not None:
-        doc["cycle"] = [
-            {str(cid): p for cid, p in pv.to_mapping(scenario).items()}
-            for pv in report.cycle
-        ]
+        doc["cycle"] = [pv.to_doc(scenario) for pv in report.cycle]
     if report.wipeout is not None:
         doc["wipeout"] = report.wipeout.to_dict()
     return doc

@@ -13,10 +13,6 @@ class ValidationError(MarketCellsError):
     """A scenario violates a model invariant.  The message names it."""
 
 
-class DegeneratePair(MarketCellsError):
-    """Two companies share a position, so no bisector exists."""
-
-
 class WindowTooSmall(MarketCellsError):
     """A non-frozen company's market cell reaches the evaluation window
     edge, so the bounded window no longer stands in for the unbounded

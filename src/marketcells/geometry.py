@@ -14,20 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePair
 from .model import Box
 
-__all__ = [
-    "EPS_GEOM",
-    "CellResult",
-    "ConvexPolygon",
-    "HalfPlane",
-    "Interval",
-    "bisector",
-    "intersect_halfplanes",
-    "polygon_area",
-    "shared_edge",
-]
+__all__ = ["EPS_GEOM", "ConvexPolygon", "Interval"]
 
 EPS_GEOM = 1e-9
 
@@ -48,22 +37,6 @@ class Interval:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """The set ``{x : a . x <= b}`` with nonzero normal ``a``."""
-
-    a: tuple[float, float]
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.a[0] == 0.0 and self.a[1] == 0.0:
-            raise ValueError("half-plane normal must be nonzero")
-
-    def signed_violation(self, point: Sequence[float]) -> float:
-        """Positive outside, negative inside, in normal-scaled units."""
-        return self.a[0] * point[0] + self.a[1] * point[1] - self.b
-
-
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices."""
 
@@ -82,7 +55,7 @@ class ConvexPolygon:
 
     @property
     def area(self) -> float:
-        return polygon_area(self)
+        return loop_area(self.vertices)
 
     @property
     def perimeter(self) -> float:
@@ -103,44 +76,6 @@ class ConvexPolygon:
         cross = e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0]
         scale = max(1.0, float(np.abs(e).max()))
         return bool(np.all(cross >= -tol * scale))
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """Outcome of a half-plane intersection clipped to a window.
-
-    ``polygon`` is ``None`` when the intersection is empty (or degenerate
-    below the geometric tolerance).  ``touches_window`` reports whether
-    any surviving edge lies on the window boundary, which means the
-    window truncated an unbounded or oversized cell.
-    """
-
-    polygon: ConvexPolygon | None
-    touches_window: bool
-
-    @property
-    def is_empty(self) -> bool:
-        return self.polygon is None
-
-
-def bisector(
-    xi: Sequence[float], pi_eff: float, xj: Sequence[float], pj_eff: float
-) -> HalfPlane:
-    """Half-plane where company i's aggregate price is at most j's.
-
-    ``pi_eff`` and ``pj_eff`` are the effective additive weights (mill
-    price minus brand bonus).  Equal weights give the perpendicular
-    bisector of the two positions; a weight advantage pushes the boundary
-    toward the pricier company.
-    """
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    diff = xj - xi
-    if not np.any(diff != 0.0):
-        raise DegeneratePair("companies share a position; no bisector exists")
-    a = 2.0 * diff
-    b = pj_eff - pi_eff + float(xj @ xj) - float(xi @ xi)
-    return HalfPlane((float(a[0]), float(a[1])), float(b))
 
 
 def clip_by_halfplane(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
@@ -311,70 +246,7 @@ def window_contact(verts: np.ndarray, window: Box, eps: float = EPS_GEOM) -> boo
     return False
 
 
-def intersect_halfplanes(
-    planes: Sequence[HalfPlane], window: Box, eps: float = EPS_GEOM
-) -> CellResult:
-    """Clip the window rectangle by every half-plane in turn."""
-    if window.dimension != 2:
-        raise ValueError("half-plane intersection requires a 2D window")
-    scale = max(1.0, window.diameter)
-    verts = window.corners()
-    for hp in planes:
-        verts = clip_by_halfplane(verts, np.asarray(hp.a, dtype=float), hp.b)
-        if len(verts) < 3:
-            return CellResult(None, False)
-    verts = merge_close_vertices(verts, eps * scale)
-    if len(verts) < 3 or _loop_area(verts) <= (eps * scale) ** 2:
-        return CellResult(None, False)
-    return CellResult(ConvexPolygon(verts), window_contact(verts, window, eps))
-
-
-def _loop_area(verts: np.ndarray) -> float:
+def loop_area(verts: np.ndarray) -> float:
+    """Shoelace area of a vertex loop (non-negative when counterclockwise)."""
     x, y = verts[:, 0], verts[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def polygon_area(polygon: ConvexPolygon) -> float:
-    """Shoelace area (vertices are counterclockwise, so non-negative)."""
-    return _loop_area(polygon.vertices)
-
-
-def shared_edge(p: ConvexPolygon, q: ConvexPolygon, eps: float = EPS_GEOM) -> tuple[float, bool]:
-    """Length of the common boundary of two convex polygons.
-
-    Returns ``(length, exists)``.  ``(0.0, True)`` is the point-contact
-    case: closures meeting at a single point.  The computation is made
-    order-independent by canonicalizing the argument order first.
-    """
-    if _polygon_key(p) > _polygon_key(q):
-        p, q = q, p
-    scale = max(
-        1.0,
-        float(np.abs(p.vertices).max()),
-        float(np.abs(q.vertices).max()),
-    )
-    tol = eps * scale
-    verts = p.vertices
-    qv = q.vertices
-    n = len(qv)
-    # Clip p by each edge half-plane of q; convexity keeps this exact.
-    for k in range(n):
-        edge = qv[(k + 1) % n] - qv[k]
-        normal = np.array([edge[1], -edge[0]])  # outward for CCW loops
-        offset = float(normal @ qv[k]) + tol
-        verts = clip_by_halfplane(verts, normal, offset)
-        if len(verts) == 0:
-            return 0.0, False
-    verts = merge_close_vertices(verts, tol)
-    if len(verts) == 0:
-        return 0.0, False
-    if len(verts) == 1:
-        return 0.0, True
-    diffs = verts[:, None, :] - verts[None, :, :]
-    length = float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
-    return (length if length > tol else 0.0), True
-
-
-def _polygon_key(p: ConvexPolygon) -> tuple[float, ...]:
-    k = np.lexsort((p.vertices[:, 1], p.vertices[:, 0]))[0]
-    return tuple(p.vertices[k]) + (float(len(p.vertices)),)

@@ -29,7 +29,6 @@ __all__ = [
     "Company",
     "PriceVector",
     "Scenario",
-    "aggregate_price",
     "emit_scenario",
     "load_scenario",
 ]
@@ -254,6 +253,10 @@ class PriceVector:
     def to_mapping(self, scenario: Scenario) -> dict[int, float]:
         return {c.id: v for c, v in zip(scenario.companies, self.values)}
 
+    def to_doc(self, scenario: Scenario) -> dict[str, float]:
+        """JSON-ready view: company ids become string keys."""
+        return {str(cid): v for cid, v in self.to_mapping(scenario).items()}
+
     def check_against(self, scenario: Scenario) -> None:
         """Raise unless frozen entries match the scenario and all prices
         lie within [0, price_upper]."""
@@ -264,32 +267,6 @@ class PriceVector:
                 raise ValidationError(f"frozen company {c.id} price was changed")
             if not 0.0 <= v <= scenario.price_upper:
                 raise ValidationError(f"company {c.id} price outside [0, price_upper]")
-
-
-def aggregate_price(
-    scenario: Scenario,
-    company_id: int,
-    x: Iterable[float],
-    area: float,
-    price: float | None = None,
-) -> float:
-    """Total cost a customer at ``x`` perceives from one company.
-
-    ``area`` is the company's current market area.  For ``q = 0`` the
-    brand term is the constant ``-beta`` (zero area included: the zeroth
-    power of the area is taken to be one), so it cancels from every
-    pairwise comparison.  ``price`` overrides the scenario price, which
-    is what solvers probing candidate prices pass in.
-    """
-    c = scenario.company(company_id)
-    p = c.price if price is None else price
-    dist_sq = sum((a - b) ** 2 for a, b in zip(x, c.position, strict=True))
-    return p + dist_sq - scenario.beta * brand_factor(scenario.q, area)
-
-
-def brand_factor(q: int, area: float) -> float:
-    """``area**q`` with the ``q = 0`` convention that 0**0 == 1."""
-    return 1.0 if q == 0 else float(area)
 
 
 # -- scenario documents ----------------------------------------------------

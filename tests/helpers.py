@@ -40,6 +40,30 @@ def check(num: int, passed: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Reference formulas
+# ---------------------------------------------------------------------------
+
+
+def aggregate_price(
+    scenario: Scenario,
+    company_id: int,
+    x,
+    area: float,
+    price: float | None = None,
+) -> float:
+    """Total cost a customer at ``x`` perceives from one company, written
+    straight from the model: mill price plus squared distance minus the
+    brand bonus ``beta * area**q``, with ``0**0 == 1`` so that the ``q = 0``
+    bonus is the constant ``beta``.  ``price`` overrides the scenario price.
+    """
+    c = scenario.company(company_id)
+    p = c.price if price is None else price
+    dist_sq = sum((a - b) ** 2 for a, b in zip(x, c.position, strict=True))
+    bonus = 1.0 if scenario.q == 0 else float(area)
+    return p + dist_sq - scenario.beta * bonus
+
+
+# ---------------------------------------------------------------------------
 # Scenario builders
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,6 @@ import pytest
 from marketcells import (
     PriceVector,
     WindowTooSmall,
-    aggregate_price,
     compute_wipeout_diagnostics,
     solve_areas_q0,
     solve_areas_q1_1d,
@@ -15,7 +14,13 @@ from marketcells import (
 )
 from marketcells.errors import BoundaryCompany
 
-from helpers import lattice_2d, line_scenario, random_line_scenario, triple_q1
+from helpers import (
+    aggregate_price,
+    lattice_2d,
+    line_scenario,
+    random_line_scenario,
+    triple_q1,
+)
 
 
 class TestLineDirect:
@@ -297,24 +302,3 @@ class TestPotentialCompetitors:
         assert part.survivors == {0, 1, 2}
         assert not part.has_potential_competitor(0)
         assert not part.has_potential_competitor(1)
-
-
-class TestInnerStep:
-    def test_frozen_area_weights(self):
-        # one brand-feedback step at explicitly supplied areas matches a
-        # direct solve with hand-shifted weights
-        scn = triple_q1(0.5)
-        pv = PriceVector.from_scenario(scn)
-        frozen_areas = {0: 1.0, 1: 2.0, 2: 0.5}
-        part = solve_areas_q0(scn, pv, brand_areas=frozen_areas, check_window=False)
-        shifted = line_scenario(
-            [0.0, 1.0, 2.0],
-            [1.0 - 0.5 * 1.0, 1.0 - 0.5 * 2.0, 1.0 - 0.5 * 0.5],
-            beta=0.0,
-            q=0,
-            price_upper=5.0,
-            margin=0.5,
-        )
-        ref = solve_areas_q0(shifted, PriceVector.from_scenario(shifted), check_window=False)
-        for cid in part.areas:
-            assert part.areas[cid] == pytest.approx(ref.areas[cid], abs=1e-12)

@@ -2,13 +2,16 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from marketcells import emit_scenario
+from marketcells import areas, emit_scenario
 from marketcells.cli import main
 
 from helpers import lattice_1d, lattice_2d, line_scenario, triple_q1
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 @pytest.fixture
@@ -80,6 +83,21 @@ class TestCells:
         assert code == 0
         doc = json.loads(out)
         assert doc["areas"]["1"] == pytest.approx(2.5)
+
+    def test_brand_partition_solved_once(self, capsys, monkeypatch):
+        # cells and their wipe-out section come from one line solve
+        calls = []
+        solve = areas._partition_1d
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(areas, "_partition_1d", counted)
+        code, out, _ = run(capsys, "cells", str(SCENARIOS / "brand_triple.json"))
+        assert code == 0
+        assert "wipeout" in json.loads(out)
+        assert len(calls) == 1
 
     def test_missing_required_flag_exits_64(self, scenario_file, capsys):
         path = scenario_file(triple_q1(0.5))

@@ -16,3 +16,11 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_export_resolves():
+    missing = [name for name in marketcells.__all__ if not hasattr(marketcells, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from marketcells import *", namespace)
+    assert set(marketcells.__all__) <= set(namespace)

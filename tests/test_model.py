@@ -1,4 +1,4 @@
-"""Scenario types, document ingestion, and the aggregate price."""
+"""Scenario types, document ingestion, and the reference aggregate price."""
 
 import json
 import math
@@ -11,12 +11,17 @@ from marketcells import (
     PriceVector,
     SchemaError,
     ValidationError,
-    aggregate_price,
     emit_scenario,
     load_scenario,
 )
 
-from helpers import lattice_2d, line_scenario, random_line_scenario, triple_q1
+from helpers import (
+    aggregate_price,
+    lattice_2d,
+    line_scenario,
+    random_line_scenario,
+    triple_q1,
+)
 
 
 def minimal_doc():
