@@ -157,7 +157,7 @@ def wipeout_threshold(d_left: float | None, d_right: float | None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _line_thresholds(x: np.ndarray) -> np.ndarray:
+def line_thresholds(x: np.ndarray) -> np.ndarray:
     """Wipe-out threshold per active company given sorted positions."""
     m = len(x)
     out = np.full(m, math.inf)
@@ -244,7 +244,7 @@ def _price_direction(n: int, slot: int) -> np.ndarray:
 
 
 def _singular_message(x: np.ndarray, beta: float) -> str:
-    thr = float(np.min(_line_thresholds(x)))
+    thr = float(np.min(line_thresholds(x)))
     return (
         f"boundary system is singular at beta={beta:g}; the tightest "
         f"wipe-out threshold among active companies is {thr:g}"
@@ -282,7 +282,7 @@ def _feedback_loop(
             del active[int(np.argmin(areas))]
             continue
         if beta > 0.0 and len(active) > 1:
-            thresholds = _line_thresholds(xs)
+            thresholds = line_thresholds(xs)
             if float(np.min(thresholds)) <= beta:
                 del active[int(np.argmin(thresholds))]
                 continue
@@ -537,13 +537,27 @@ def _partition_2d(
     eps_area = area_tolerance(scenario)
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
 
+    # Each surviving cell's border lengths and ties come from its own
+    # boundary, matched against the half-planes that cut it.
     loops: list[np.ndarray] = []
     areas_by_index = np.zeros(n)
+    border: dict[tuple[int, int], float] = {}
+    ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
     for k in range(n):
-        verts = focal_cell_2d(scenario, weights, k)
+        normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
+        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
         loops.append(verts)
         if len(verts) >= 3:
             areas_by_index[k] = loop_area(verts)
+        if areas_by_index[k] <= eps_area:
+            continue
+        lengths, ties_by_index[k] = _edge_attribution(
+            verts, normals, offsets, plane_ids, tie_tol
+        )
+        for j, seg in lengths.items():
+            key = (min(k, j), max(k, j))
+            if key not in border or (k < j):
+                border[key] = seg
 
     surviving = areas_by_index > eps_area
 
@@ -569,23 +583,7 @@ def _partition_2d(
                     "the window understates its true market"
                 )
 
-    # Neighbor graph with border lengths, plus tie bookkeeping, built from
-    # each surviving cell's own boundary and then symmetrized.
-    border: dict[tuple[int, int], float] = {}
-    ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
-    for k in range(n):
-        if not surviving[k]:
-            continue
-        normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
-        lengths, ties = _edge_attribution(
-            loops[k], normals, offsets, plane_ids, tie_tol
-        )
-        ties_by_index[k] = ties
-        for j, seg in lengths.items():
-            key = (min(k, j), max(k, j))
-            if key not in border or (k < j):
-                border[key] = seg
-
+    # Neighbor graph, symmetrized from the per-cell border lengths.
     neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
     potential: dict[int, set[int]] = {cid: set() for cid in ids}
 
@@ -676,21 +674,24 @@ def solve_partition(
     return solve_areas_q0(scenario, prices, check_window=check_window)
 
 
-def _flanking_survivors(
-    scenario: Scenario, part: MarketPartition, company_id: int
-) -> tuple[int | None, int | None]:
-    """Nearest surviving company strictly left and right of a position."""
-    x0 = scenario.company(company_id).position[0]
-    left = right = None
-    for cid in part.survivors:
-        if cid == company_id:
-            continue
-        x = scenario.company(cid).position[0]
-        if x < x0 and (left is None or x > scenario.company(left).position[0]):
-            left = cid
-        if x > x0 and (right is None or x < scenario.company(right).position[0]):
-            right = cid
-    return left, right
+def _nearest_flanks(
+    scenario: Scenario, survivors
+) -> dict[int, tuple[int | None, int | None]]:
+    """Nearest member of ``survivors`` strictly left and right of every
+    company on the line, from one walk each way over ``line_layout``."""
+    all_ids = scenario.ids
+    ids = [all_ids[k] for k in line_layout(scenario)[0]]
+
+    def walk(seq) -> dict[int, int | None]:
+        out, last = {}, None
+        for cid in seq:
+            out[cid] = last
+            if cid in survivors:
+                last = cid
+        return out
+
+    left, right = walk(ids), walk(reversed(ids))
+    return {cid: (left[cid], right[cid]) for cid in ids}
 
 
 def _psi_terms(
@@ -728,10 +729,11 @@ def _diagnostics_from_partition(
     thresholds: dict[int, float] = {}
     psi: dict[int, float] = {}
     entry: dict[int, float] = {}
+    flanks = _nearest_flanks(scenario, part.survivors)
     for c in scenario.companies:
         if c.frozen:
             continue
-        left, right = _flanking_survivors(scenario, part, c.id)
+        left, right = flanks[c.id]
         if left is None or right is None:
             continue
         thr, margin, r_entry = _psi_terms(scenario, prices, part.areas, c.id, left, right)
@@ -943,7 +945,7 @@ def _eliminate_rows(
             if len(rows) == 0:
                 continue
             if beta > 0.0:
-                thresholds = _line_thresholds(x[active])
+                thresholds = line_thresholds(x[active])
                 if float(np.min(thresholds)) <= beta:
                     j = int(np.argmin(thresholds))
                     stack.append((active[:j] + active[j + 1 :], rows))
@@ -1086,14 +1088,7 @@ def compute_wipeout_diagnostics(
         area_tolerance(scenario),
     )
     hidden_ids = [scenario.ids[keep[a]] for a in active]
-    x0 = scenario.company(company_id).position[0]
-    left = right = None
-    for cid in hidden_ids:
-        xx = scenario.company(cid).position[0]
-        if xx < x0:
-            left = cid
-        elif right is None:
-            right = cid
+    left, right = _nearest_flanks(scenario, set(hidden_ids))[company_id]
     if left is None or right is None:
         raise BoundaryCompany(
             f"company {company_id} lacks a surviving neighbor on one side"

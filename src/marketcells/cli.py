@@ -266,16 +266,17 @@ def _cmd_sweep_beta(args) -> int:
                 tol=args.tol,
                 max_iter=args.max_iter,
             )
-            eq_part = solve_partition(scn, report.prices)
             entry.update(
                 converged=report.converged,
                 iterations=report.iterations,
                 prices=report.prices.to_doc(scn),
-                survivors=sorted(eq_part.survivors),
+                survivors=sorted(cid for cid, c in report.per_company.items() if c.area > 0),
             )
             if scn.q == 1 and report.activation is not None:
                 entry["hidden"] = sorted(report.activation.hidden)
             warm = _rebase(scn, report.prices)
+        except ValidationError:
+            raise  # a bad --tol or --max-iter fails every point alike
         except MarketCellsError as exc:
             entry["equilibrium_error"] = f"{type(exc).__name__}: {exc}"
             warm = None

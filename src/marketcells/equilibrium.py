@@ -12,6 +12,7 @@ bonus cancels, and the one-sided price-sensitivity band otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -21,10 +22,11 @@ from .areas import (
     MarketPartition,
     WipeoutDiagnostics,
     area_tolerance,
+    fast_signature,
     line_layout,
+    line_thresholds,
     solve_areas_q1_1d,
     solve_partition,
-    wipeout_threshold,
 )
 from .errors import NoValidScheme, ValidationError
 from .model import PriceVector, Scenario
@@ -63,10 +65,12 @@ class CompanyConditions:
     ``condition_residual`` measures the price-area identity: with no
     brand feedback it is ``|P * gamma - S|``; with feedback it is the
     distance to the admissible band ``[c_lower * S, c_upper * S]`` (zero
-    inside), or ``|P - c * S|`` with the two-sided sensitivity when no
-    potential competitor blurs the derivative.  ``c_approx`` is the
-    closed-form small-brand-weight approximation of that sensitivity,
-    reported for comparison, never asserted.
+    inside), or ``|P - c * S|`` when no potential competitor kinks the
+    area at ``P`` and ``c = c_lower = c_upper``.  Each ``c = -1 / (dS/dP)``
+    is exact: ``c_upper`` from the area piece below the price, ``c_lower``
+    from the one above.  ``c_approx`` is the closed-form small-brand-weight
+    approximation of that sensitivity, reported for comparison, never
+    asserted.
     """
 
     price: float
@@ -110,36 +114,20 @@ class DeviationAudit:
 
 
 def _sorted_by_position(scenario: Scenario, ids) -> list[int]:
-    keep = set(ids)
-    return [scenario.ids[k] for k in line_layout(scenario)[0] if scenario.ids[k] in keep]
+    keep, all_ids = set(ids), scenario.ids
+    return [all_ids[k] for k in line_layout(scenario)[0] if all_ids[k] in keep]
 
 
-def _own_threshold(scenario: Scenario, active: set[int], cid: int) -> float:
-    """Wipe-out threshold of ``cid`` against its nearest active flanks."""
-    x0 = scenario.company(cid).position[0]
-    d_left = d_right = None
-    for other in active:
-        if other == cid:
-            continue
-        x = scenario.company(other).position[0]
-        if x < x0:
-            d = x0 - x
-            d_left = d if d_left is None else min(d_left, d)
-        elif x > x0:
-            d = x - x0
-            d_right = d if d_right is None else min(d_right, d)
-    return wipeout_threshold(d_left, d_right)
-
-
-def _violators(scenario: Scenario, active: set[int]) -> list[int]:
-    """Non-frozen active companies packed tighter than their threshold."""
-    out = []
-    for cid in active:
-        if scenario.company(cid).frozen:
-            continue
-        if scenario.beta >= _own_threshold(scenario, active, cid):
-            out.append(cid)
-    return out
+def _violators(scenario: Scenario, active: set[int]) -> dict[int, float]:
+    """Non-frozen active companies packed tighter than their wipe-out
+    threshold against their nearest active flanks, with that threshold."""
+    ordered = _sorted_by_position(scenario, active)
+    x = np.array([scenario.company(cid).position[0] for cid in ordered])
+    return {
+        cid: thr
+        for cid, thr in zip(ordered, line_thresholds(x))
+        if scenario.beta >= thr and not scenario.company(cid).frozen
+    }
 
 
 def construct_activation(scenario: Scenario) -> ActivationScheme:
@@ -170,17 +158,14 @@ def construct_activation(scenario: Scenario) -> ActivationScheme:
         # keep the spacing condition airtight among activated companies
         bad = _violators(scenario, active)
         if bad:
-            evict = min(
-                bad, key=lambda v: (_own_threshold(scenario, active, v), v)
-            )
+            evict = min(bad, key=lambda v: (bad[v], v))
             active.discard(evict)
             hidden.add(evict)
             continue
-        entrant = None
-        for cid in sorted(hidden):
-            if scenario.beta < _own_threshold(scenario, active | {cid}, cid):
-                entrant = cid
-                break
+        entrant = next(
+            (cid for cid in sorted(hidden) if cid not in _violators(scenario, active | {cid})),
+            None,
+        )
         if entrant is None:
             break
         # the entrant satisfies its own spacing bound; any crowding it
@@ -205,6 +190,39 @@ def _close(a: tuple[float, ...], b: tuple[float, ...], tol: float) -> bool:
     return max(abs(x - y) for x, y in zip(a, b)) <= tol
 
 
+def _tolerance(scenario: Scenario, tol: float | None) -> float:
+    """The sweep tolerance, ``TOL_RTOL * price_upper`` unless given."""
+    tol = TOL_RTOL * scenario.price_upper if tol is None else tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and non-negative, got {tol}")
+    return tol
+
+
+def _sweep(
+    scenario: Scenario, prices: PriceVector, optimizers: list[int], simultaneous: bool
+) -> tuple[PriceVector, float]:
+    """One best response per optimizer, in order: each against the prices
+    committed so far, or all against ``prices`` when ``simultaneous``.
+    Returns the new prices and the largest single move."""
+    moved = prices
+    residual = 0.0
+    for cid in optimizers:
+        br = best_response(scenario, prices if simultaneous else moved, cid)
+        residual = max(residual, abs(br.price - prices.price_of(scenario, cid)))
+        moved = moved.with_price(scenario, cid, br.price)
+    return moved, residual
+
+
+def _partition(
+    scenario: Scenario, prices: PriceVector
+) -> tuple[MarketPartition, WipeoutDiagnostics | None]:
+    """The partition a report reads, with wipe-out diagnostics under
+    brand feedback."""
+    if scenario.q == 1:
+        return solve_areas_q1_1d(scenario, prices)
+    return solve_partition(scenario, prices), None
+
+
 def iterate_best_response(
     scenario: Scenario,
     init: PriceVector | None = None,
@@ -224,39 +242,27 @@ def iterate_best_response(
     """
     if schedule not in ("roundrobin", "simultaneous"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    tol = TOL_RTOL * scenario.price_upper if tol is None else tol
+    tol = _tolerance(scenario, tol)
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     prices = PriceVector.from_scenario(scenario) if init is None else init
     prices.check_against(scenario)
     initial = prices
 
     activation = None
-    optimizers = [c.id for c in scenario.companies if not c.frozen]
+    optimizers = sorted(c.id for c in scenario.companies if not c.frozen)
     if scenario.q == 1:
         activation = construct_activation(scenario)
         for hid in sorted(activation.hidden):
             prices = prices.with_price(scenario, hid, scenario.price_upper)
         optimizers = [cid for cid in optimizers if cid not in activation.hidden]
-    optimizers.sort()
 
     history = [prices.values]
     converged = False
     iterations = 0
-    residual = 0.0
     cycle = None
     for _ in range(max_iter):
-        if schedule == "roundrobin":
-            residual = 0.0
-            for cid in optimizers:
-                br = best_response(scenario, prices, cid)
-                residual = max(residual, abs(br.price - prices.price_of(scenario, cid)))
-                prices = prices.with_price(scenario, cid, br.price)
-        else:
-            snapshot = prices
-            residual = 0.0
-            for cid in optimizers:
-                br = best_response(scenario, snapshot, cid)
-                residual = max(residual, abs(br.price - snapshot.price_of(scenario, cid)))
-                prices = prices.with_price(scenario, cid, br.price)
+        prices, residual = _sweep(scenario, prices, optimizers, schedule == "simultaneous")
         history.append(prices.values)
         if residual <= tol:
             converged = True
@@ -270,16 +276,18 @@ def iterate_best_response(
             cycle = (PriceVector(history[-2]), PriceVector(history[-1]))
             break
 
-    return _build_report(
-        scenario,
-        prices,
+    part, wipeout = _partition(scenario, prices)
+    return EquilibriumReport(
+        prices=prices,
         converged=converged,
         iterations=iterations,
         residual=residual,
         schedule=schedule,
         initial=initial,
         activation=activation,
+        per_company=_company_conditions(scenario, prices, part, activation),
         cycle=cycle,
+        wipeout=wipeout,
     )
 
 
@@ -293,41 +301,32 @@ def verify_equilibrium(
     ceiling with no market naturally contributes zero residual: its best
     response is the ceiling itself.
     """
-    tol = TOL_RTOL * scenario.price_upper if tol is None else tol
+    tol = _tolerance(scenario, tol)
     prices.check_against(scenario)
-    residual = 0.0
-    for c in scenario.companies:
-        if c.frozen:
-            continue
-        br = best_response(scenario, prices, c.id)
-        residual = max(residual, abs(br.price - prices.price_of(scenario, c.id)))
+    optimizers = [c.id for c in scenario.companies if not c.frozen]
+    _, residual = _sweep(scenario, prices, optimizers, simultaneous=True)
+    part, wipeout = _partition(scenario, prices)
     activation = None
     if scenario.q == 1:
-        part = solve_partition(scenario, prices)
         eps = area_tolerance(scenario)
         hidden = frozenset(
-            c.id
-            for c in scenario.companies
-            if not c.frozen
-            and part.areas[c.id] <= eps
-            and prices.price_of(scenario, c.id) == scenario.price_upper
+            cid
+            for cid in optimizers
+            if part.areas[cid] <= eps and prices.price_of(scenario, cid) == scenario.price_upper
         )
-        activated = tuple(
-            _sorted_by_position(
-                scenario, [c.id for c in scenario.companies if c.id not in hidden]
-            )
+        activation = ActivationScheme(
+            tuple(_sorted_by_position(scenario, set(scenario.ids) - hidden)), hidden
         )
-        activation = ActivationScheme(activated, hidden)
-    return _build_report(
-        scenario,
-        prices,
+    return EquilibriumReport(
+        prices=prices,
         converged=residual <= tol,
         iterations=0,
         residual=residual,
         schedule="verify",
         initial=prices,
         activation=activation,
-        cycle=None,
+        per_company=_company_conditions(scenario, prices, part, activation),
+        wipeout=wipeout,
     )
 
 
@@ -336,45 +335,29 @@ def verify_equilibrium(
 # ---------------------------------------------------------------------------
 
 
-def _one_sided_sensitivities(
-    scenario: Scenario, prices: PriceVector, company_id: int
+def _sensitivity_band(
+    scenario: Scenario, prices: PriceVector, company_id: int, has_pc: bool
 ) -> tuple[float | None, float | None]:
-    """``(c_lower, c_upper)`` from forward/backward area differences.
+    """``(c_lower, c_upper)``, each ``-1 / (dS/dP)`` from an exact area
+    slope, or ``None`` where the area does not fall.
 
-    ``c_lower`` uses the upward side (areas shrink faster when raising
-    the price past a kink), ``c_upper`` the downward side.
+    The solve at the company's price drops a tied zero-area company, so
+    its slope is that of the piece below the price: ``c_upper``.  Only a
+    potential competitor makes the piece above differ; ``c_lower`` then
+    comes from one more solve just above the price, below the ceiling.
     """
-    p0 = prices.price_of(scenario, company_id)
-    h = ONE_SIDED_STEP_RTOL * scenario.price_upper
-    _, s0 = utility(scenario, prices, company_id, p0)
-    c_lower = c_upper = None
-    if p0 + h <= scenario.price_upper:
-        _, s_up = utility(scenario, prices, company_id, p0 + h)
-        slope = (s_up - s0) / h
-        if slope < 0.0:
-            c_lower = -1.0 / slope
-    if p0 - h >= 0.0:
-        _, s_dn = utility(scenario, prices, company_id, p0 - h)
-        slope = (s0 - s_dn) / h
-        if slope < 0.0:
-            c_upper = -1.0 / slope
-    return c_lower, c_upper
+    values = prices.as_array()
+    k = scenario.index_of[company_id]
 
+    def sensitivity() -> float | None:
+        slope = fast_signature(scenario, values, company_id).slope
+        return -1.0 / slope if slope < 0.0 else None
 
-def _central_sensitivity(
-    scenario: Scenario, prices: PriceVector, company_id: int
-) -> float | None:
-    """Two-sided -dP/dS; exact within a smooth piece since the area is
-    polynomial there."""
-    p0 = prices.price_of(scenario, company_id)
-    h = ONE_SIDED_STEP_RTOL * scenario.price_upper
-    lo, hi = max(0.0, p0 - h), min(scenario.price_upper, p0 + h)
-    if hi <= lo:
-        return None
-    _, s_lo = utility(scenario, prices, company_id, lo)
-    _, s_hi = utility(scenario, prices, company_id, hi)
-    slope = (s_hi - s_lo) / (hi - lo)
-    return -1.0 / slope if slope < 0.0 else None
+    c_upper = sensitivity()
+    if not has_pc:
+        return c_upper, c_upper
+    values[k] += ONE_SIDED_STEP_RTOL * scenario.price_upper
+    return (sensitivity() if values[k] <= scenario.price_upper else None), c_upper
 
 
 def _brand_sensitivity_approx(
@@ -396,9 +379,10 @@ def _company_conditions(
     scenario: Scenario,
     prices: PriceVector,
     part: MarketPartition,
-    hidden: frozenset[int],
+    activation: ActivationScheme | None,
 ) -> dict[int, CompanyConditions]:
     eps = area_tolerance(scenario)
+    hidden = activation.hidden if activation is not None else frozenset()
     out: dict[int, CompanyConditions] = {}
     for c in scenario.companies:
         price = prices.price_of(scenario, c.id)
@@ -414,15 +398,13 @@ def _company_conditions(
                     residual = abs(price * gamma - area)
                     c_lower = c_upper = 1.0 / gamma
             else:
-                c_lower, c_upper = _one_sided_sensitivities(scenario, prices, c.id)
+                c_lower, c_upper = _sensitivity_band(scenario, prices, c.id, has_pc)
                 if has_pc:
                     lo = c_lower * area if c_lower is not None else -math.inf
                     hi = c_upper * area if c_upper is not None else math.inf
                     residual = max(0.0, lo - price, price - hi)
-                else:
-                    c_num = _central_sensitivity(scenario, prices, c.id)
-                    if c_num is not None:
-                        residual = abs(price - c_num * area)
+                elif c_upper is not None:
+                    residual = abs(price - c_upper * area)
         out[c.id] = CompanyConditions(
             price=price,
             frozen=c.frozen,
@@ -436,38 +418,6 @@ def _company_conditions(
             has_potential_competitor=has_pc,
         )
     return out
-
-
-def _build_report(
-    scenario: Scenario,
-    prices: PriceVector,
-    converged: bool,
-    iterations: int,
-    residual: float,
-    schedule: str,
-    initial: PriceVector,
-    activation: ActivationScheme | None,
-    cycle,
-) -> EquilibriumReport:
-    wipeout = None
-    if scenario.q == 1:
-        part, wipeout = solve_areas_q1_1d(scenario, prices)
-    else:
-        part = solve_partition(scenario, prices)
-    hidden = activation.hidden if activation is not None else frozenset()
-    per_company = _company_conditions(scenario, prices, part, hidden)
-    return EquilibriumReport(
-        prices=prices,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        schedule=schedule,
-        initial=initial,
-        activation=activation,
-        per_company=per_company,
-        cycle=cycle,
-        wipeout=wipeout,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +461,11 @@ def multi_start(
     max_iter: int = MAX_SWEEPS,
 ) -> list[EquilibriumReport]:
     """Equilibrium searches from randomized initial prices."""
+    if starts < 1:
+        raise ValidationError(f"multi-start needs at least one start, got {starts}")
     rng = np.random.default_rng(seed)
     reports = []
-    for _ in range(max(1, starts)):
+    for _ in range(starts):
         values = [
             c.price if c.frozen else float(rng.uniform(0.0, scenario.price_upper))
             for c in scenario.companies
@@ -541,19 +493,7 @@ def report_to_dict(scenario: Scenario, report: EquilibriumReport) -> dict:
         "initial": report.initial.to_doc(scenario),
         "activation": None,
         "per_company": {
-            str(cid): {
-                "price": c.price,
-                "frozen": c.frozen,
-                "hidden": c.hidden,
-                "area": c.area,
-                "gamma": c.gamma,
-                "condition_residual": c.condition_residual,
-                "c_lower": c.c_lower,
-                "c_upper": c.c_upper,
-                "c_approx": c.c_approx,
-                "has_potential_competitor": c.has_potential_competitor,
-            }
-            for cid, c in sorted(report.per_company.items())
+            str(cid): dataclasses.asdict(c) for cid, c in sorted(report.per_company.items())
         },
         "cycle": None,
     }

@@ -10,6 +10,7 @@ from marketcells import (
     PriceVector,
     Scenario,
     solve_partition,
+    wipeout_threshold,
 )
 from marketcells.errors import MarketCellsError
 
@@ -61,6 +62,24 @@ def aggregate_price(
     dist_sq = sum((a - b) ** 2 for a, b in zip(x, c.position, strict=True))
     bonus = 1.0 if scenario.q == 0 else float(area)
     return p + dist_sq - scenario.beta * bonus
+
+
+def own_threshold(scenario: Scenario, active: set[int], cid: int) -> float:
+    """Wipe-out threshold of ``cid`` against its nearest flanks in
+    ``active``, found by scanning every active position."""
+    x0 = scenario.company(cid).position[0]
+    d_left = d_right = None
+    for other in active:
+        if other == cid:
+            continue
+        x = scenario.company(other).position[0]
+        if x < x0:
+            d = x0 - x
+            d_left = d if d_left is None else min(d_left, d)
+        elif x > x0:
+            d = x - x0
+            d_right = d if d_right is None else min(d_right, d)
+    return wipeout_threshold(d_left, d_right)
 
 
 # ---------------------------------------------------------------------------

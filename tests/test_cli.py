@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, report round-trips."""
 
 import json
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -143,6 +144,34 @@ class TestNamedErrors:
         )
         assert code == 1
         assert err.startswith("ValidationError") and "99" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibrium", "--tol", "-1"],
+            ["equilibrium", "--tol", "nan"],
+            ["equilibrium", "--max-iter", "0"],
+            ["equilibrium", "--max-iter", "-5"],
+            ["equilibrium", "--multi-start", "-1"],
+            ["sweep-beta", "--from", "0", "--to", "1", "--steps", "2", "--tol", "-1"],
+        ],
+        ids=[
+            "negative_tol",
+            "nan_tol",
+            "zero_max_iter",
+            "negative_max_iter",
+            "negative_starts",
+            "sweep_negative_tol",
+        ],
+    )
+    def test_invalid_iteration_settings(self, capsys, argv):
+        command, *flags = argv
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, str(SCENARIOS / "brand_triple.json"), *flags)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err.startswith("ValidationError")
         assert "Traceback" not in err
 
 

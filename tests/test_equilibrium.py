@@ -1,6 +1,7 @@
 """Activation, iterated best response, and equilibrium verification."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,22 +9,30 @@ import pytest
 from marketcells import (
     NoValidScheme,
     PriceVector,
+    ValidationError,
     audit_unilateral_deviations,
     construct_activation,
     iterate_best_response,
+    load_scenario,
     multi_start,
     report_to_dict,
+    solve_partition,
     verify_equilibrium,
 )
+import marketcells.areas as areas_mod
 import marketcells.equilibrium as eq_mod
+import marketcells.response as response_mod
 
 from helpers import (
     lattice_1d,
     lattice_2d,
     line_scenario,
+    own_threshold,
     random_line_scenario,
     triple_q1,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 class TestActivation:
@@ -57,11 +66,11 @@ class TestActivation:
         for cid in scheme.activated:
             if scn.company(cid).frozen:
                 continue
-            thr = eq_mod._own_threshold(scn, set(scheme.activated), cid)
+            thr = own_threshold(scn, set(scheme.activated), cid)
             assert scn.beta < thr
         # activating any hidden company would violate its own bound
         for cid in scheme.hidden:
-            thr = eq_mod._own_threshold(scn, set(scheme.activated) | {cid}, cid)
+            thr = own_threshold(scn, set(scheme.activated) | {cid}, cid)
             assert scn.beta >= thr
         assert hidden_pos  # something had to give at this density
 
@@ -77,9 +86,9 @@ class TestActivation:
             active = set(scheme.activated)
             for cid in scheme.activated:
                 if not scn.company(cid).frozen:
-                    assert scn.beta < eq_mod._own_threshold(scn, active, cid)
+                    assert scn.beta < own_threshold(scn, active, cid)
             for cid in scheme.hidden:
-                assert scn.beta >= eq_mod._own_threshold(scn, active | {cid}, cid)
+                assert scn.beta >= own_threshold(scn, active | {cid}, cid)
 
 
 class TestIterate:
@@ -187,6 +196,12 @@ class TestVerify:
         assert mid.c_approx is not None and mid.c_approx > 0
         assert mid.c_lower is not None and mid.c_lower > 0
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_invalid_tolerance_rejected(self, tol):
+        scn = triple_q1(0.5)
+        with pytest.raises(ValidationError, match="tol"):
+            verify_equilibrium(scn, PriceVector.from_scenario(scn), tol=tol)
+
     def test_hidden_cannot_enter_when_flanks_are_cheap(self):
         scn = triple_q1(1.2, prices=(0.2, 1.0, 0.2))
         report = iterate_best_response(scn)
@@ -227,16 +242,65 @@ class TestSensitivityBand:
             margin=1.0,
         )
         pv = PriceVector.from_scenario(scn)
-        from marketcells import solve_partition
-
         part = solve_partition(scn, pv)
         assert part.areas[1] == pytest.approx(0.0)
         assert 1 in part.potential_competitors[2]
         assert part.areas[2] == pytest.approx(1.2)
-        c_lower, c_upper = eq_mod._one_sided_sensitivities(scn, pv, 2)
-        assert c_lower == pytest.approx(1.0, rel=1e-6)
-        assert c_upper == pytest.approx(4.0 / 3.0, rel=1e-6)
+        c_lower, c_upper = eq_mod._sensitivity_band(scn, pv, 2, has_pc=True)
+        assert c_lower == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert c_upper == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0.0)
         assert c_lower * part.areas[2] <= 1.4 <= c_upper * part.areas[2]
+
+    @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.5])
+    def test_exact_band_on_symmetric_triple(self, beta):
+        # the middle company's sensitivity has the closed form 1 - 1.5 beta
+        report = iterate_best_response(triple_q1(beta))
+        cond = report.per_company[1]
+        assert not cond.has_potential_competitor
+        assert cond.c_lower == cond.c_upper
+        assert cond.c_upper == pytest.approx(1.0 - 1.5 * beta, rel=1e-14, abs=0.0)
+        assert cond.condition_residual <= 1e-14 * cond.price
+
+    def test_one_area_solve_per_optimizer(self, monkeypatch):
+        # the band reads the exact slope of the solve at the price; only a
+        # potential competitor costs a second solve just above it
+        scn = random_line_scenario(np.random.default_rng(8000), q=1)
+        report = iterate_best_response(scn)
+        part = solve_partition(scn, report.prices)
+        calls = []
+        for module in (areas_mod, response_mod, eq_mod):
+            for name in ("fast_area", "fast_signature"):
+                solve = getattr(module, name, None)
+                if solve is None:
+                    continue
+
+                def counted(*args, _solve=solve, **kwargs):
+                    calls.append(args)
+                    return _solve(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        conditions = eq_mod._company_conditions(scn, report.prices, part, report.activation)
+        optimizers = [
+            c for c in conditions.values() if not (c.frozen or c.hidden) and c.area > 0
+        ]
+        plain = sum(not c.has_potential_competitor for c in optimizers)
+        assert plain > 0
+        assert len(calls) <= plain + 2 * (len(optimizers) - plain)
+
+    def test_verify_partitions_once(self, monkeypatch):
+        scn = load_scenario((SCENARIOS / "brand_triple.json").read_text())
+        report = iterate_best_response(scn)
+        calls = []
+        solve = areas_mod._partition_1d
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(areas_mod, "_partition_1d", counted)
+        check = verify_equilibrium(scn, report.prices)
+        assert len(calls) == 1
+        assert check.per_company == report.per_company
 
 
 class TestAudit:
