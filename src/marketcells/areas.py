@@ -34,8 +34,10 @@ from .geometry import (
     clip_cell,
     clip_cells,
     loop_area,
-    next_vertex,
+    loop_measures,
+    successors,
     window_contact,
+    window_contacts,
 )
 from .model import PriceVector, Scenario
 
@@ -382,7 +384,8 @@ def _partition_1d(
 ) -> MarketPartition:
     order, xs = line_layout(scenario)
     x = np.array(xs)
-    ids = [scenario.ids[k] for k in order]
+    all_ids = scenario.ids
+    ids = [all_ids[k] for k in order]
     p = prices.as_array()[list(order)]
     lo, hi = scenario.window.lo[0], scenario.window.hi[0]
     eps_area = area_tolerance(scenario)
@@ -418,7 +421,8 @@ def _partition_1d(
     # Zero-area companies tying a survivor's boundary price become its
     # potential competitors: one more price tick and they are real.
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
-    eliminated = [k for k in range(len(ids)) if k not in active]
+    survived = set(active)
+    eliminated = [k for k in range(len(ids)) if k not in survived]
     if eliminated:
         envelope_p = p[active]
         envelope_x = x[active]
@@ -492,39 +496,199 @@ def focal_cell_2d(
     return clip_cell(scenario.positions[k], normals, offsets, scenario.window)
 
 
+def _scalar_cell(
+    scenario: Scenario, weights: np.ndarray, k: int, tie_tol: float
+) -> tuple[np.ndarray, dict[int, float], set[int]]:
+    """Company ``k``'s cell from the scalar clip, with the border lengths
+    and ties :func:`_edge_attribution` finds on it."""
+    normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
+    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+    if len(verts) < 3:
+        return verts, {}, set()
+    ((lengths, ties),) = _edge_attribution(
+        verts[None], np.array([len(verts)]), normals[None], offsets[None],
+        plane_ids[None], tie_tol,
+    )
+    return verts, lengths, ties
+
+
 def _edge_attribution(
     verts: np.ndarray,
+    counts: np.ndarray,
     normals: np.ndarray,
     offsets: np.ndarray,
     plane_ids: np.ndarray,
     tie_tol: float,
-) -> tuple[dict[int, float], set[int]]:
-    """Match polygon edges to generating bisectors.
+) -> list[tuple[dict[int, float], set[int]]]:
+    """Match the edges of padded loops to their generating bisectors.
 
-    Returns ``(border_lengths, ties)``: per-company border length for
-    every company whose bisector carries an edge, and the set of
-    companies tying only at isolated vertices (corner contacts or
-    zero-area ties).
+    Row ``r`` is matched against its half-planes ``normals[r]``,
+    ``offsets[r]`` of companies ``plane_ids[r]``.  An edge lies on a
+    bisector when the price gap is within ``tie_tol`` at both endpoints;
+    of several such (coincident bisectors) the one with the smallest gap
+    sum wins, the lowest company index on a tie.  Returns, per row,
+    ``(border_lengths, ties)``: per-company border length for every
+    company whose bisector carries an edge, and the set of companies
+    tying only at isolated vertices (corner contacts or zero-area ties).
     """
-    gaps = offsets[None, :] - verts @ normals.T  # price gap at each vertex
-    tight = gaps <= tie_tol
-    m = len(verts)
-    lengths: dict[int, float] = {}
-    edge_companies: set[int] = set()
-    for k in range(m):
-        k2 = (k + 1) % m
-        both = np.flatnonzero(tight[k] & tight[k2])
-        if len(both) == 0:
-            continue  # window edge
-        if len(both) > 1:  # coincident bisectors; pick the tightest
-            both = [both[int(np.argmin(gaps[k, both] + gaps[k2, both]))]]
-        j = plane_ids[int(both[0])]
-        seg = float(np.hypot(*(verts[k2] - verts[k])))
-        lengths[j] = lengths.get(j, 0.0) + seg
-        edge_companies.add(j)
-    tie_any = np.flatnonzero(np.any(tight, axis=0))
-    ties = {plane_ids[int(t)] for t in tie_any} - edge_companies
-    return lengths, ties
+    loop = np.arange(verts.shape[1]) < counts[:, None]
+    # price gap of every half-plane at every vertex: (rows, width, planes)
+    gaps = offsets[:, None, :] - verts @ normals.transpose(0, 2, 1)
+    tight = loop[..., None] & (gaps <= tie_tol)
+    both = tight & successors(tight, counts)
+    sums = np.where(both, gaps + successors(gaps, counts), np.inf)
+    first = both & (sums == sums.min(axis=2, keepdims=True))
+    ranked = np.where(first, plane_ids[:, None, :], np.iinfo(plane_ids.dtype).max)
+    column = np.where(both.any(axis=2), np.argmin(ranked, axis=2), -1)
+    seg = np.hypot(*(successors(verts, counts) - verts).transpose(2, 0, 1))
+    on_edge = np.zeros(tight.shape[::2], dtype=bool)
+    carried = column >= 0
+    on_edge[np.nonzero(carried)[0], column[carried]] = True
+    tie_only = tight.any(axis=1) & ~on_edge
+    out = []
+    for r in range(len(verts)):
+        companies = plane_ids[r].tolist()
+        lengths: dict[int, float] = {}
+        for col, length in zip(column[r].tolist(), seg[r].tolist()):
+            if col >= 0:
+                lengths[companies[col]] = lengths.get(companies[col], 0.0) + length
+        ties = {companies[c] for c in np.flatnonzero(tie_only[r]).tolist()}
+        out.append((lengths, ties))
+    return out
+
+
+# Half-planes each row of a batched clip cuts with: its nearest bisectors.
+# On jittered lattices an interior cell cuts with at most about 10, a
+# cell reaching the window edge with up to about 24; the few rows that
+# need more (0-2 per partition on 7x7 to 25x25) go to the scalar path.
+_NEAREST = 24
+
+# Rows solved together: prices of one company, or companies of one
+# partition.  Blocks of 1,024 prices raised the peak resident memory of
+# the benchmark's 10,000-price audits by about 2 MB.
+_BLOCK = 256
+
+# Elements of the (rows x companies) arrays a batched clip block holds;
+# each such array is 256 KB, so a block's working set stays near 1 MB.
+_BLOCK_ELEMENTS = 1 << 15
+
+# Why a row of a batched clip is handed to the scalar path, in the order
+# :func:`_clip_nearest` checks them.
+_FALLBACKS = ("reach", "tie", "vertex merge", "under three vertices")
+
+
+class _NearestClip(NamedTuple):
+    """Cells of a batch of rows, each cut by its nearest bisectors.
+
+    ``verts`` and ``counts`` hold the padded loops and ``area`` their
+    areas.  ``planes``, ``normals`` and ``offsets`` hold each row's
+    half-planes in cut order.  ``fallback[r]`` is ``-1`` for a row whose
+    cell is what :func:`clip_cell` and :func:`_edge_attribution` would
+    give, else the index in ``_FALLBACKS`` of the first reason it may not
+    be.
+    """
+
+    verts: np.ndarray
+    counts: np.ndarray
+    area: np.ndarray
+    planes: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    passes: int
+    fallback: np.ndarray
+
+
+def _block_rows(companies: int) -> int:
+    """Rows per batched clip block for a market of ``companies``."""
+    return max(1, min(_BLOCK, _BLOCK_ELEMENTS // companies))
+
+
+def _clip_nearest(
+    scenario: Scenario,
+    weights: np.ndarray,
+    owners: np.ndarray,
+    own: np.ndarray,
+    tie_tol: float | None,
+) -> _NearestClip:
+    """Row ``r``: company ``owners[r]``'s cell at weight ``own[r]``, with
+    everyone else at ``weights``, from one :func:`clip_cells` call.
+
+    Each row cuts with its ``_NEAREST`` nearest bisectors, taken in the
+    order :func:`clip_cell` uses: by the distance of the boundary from the
+    company, then by company index.  A row is flagged for the scalar path
+    when (reach) its next bisector still lies within its farthest vertex
+    plus the clip tolerance, so the scalar clip would cut with it; (tie)
+    a bisector outside its nearest ones comes within ``tie_tol`` of a
+    vertex, where :func:`_edge_attribution` would record a tie (skipped
+    when ``tie_tol`` is ``None``); (vertex merge) two consecutive vertices
+    lie within the merge tolerance; or (under three vertices) it is cut
+    to one or two vertices.  Only ``(rows x companies)`` arrays are
+    built, never a normal per row and company.
+    """
+    positions = scenario.positions
+    rows, n = len(owners), len(positions)
+    anchors = positions[owners]
+    index = np.arange(rows)
+    # Boundary of company j's bisector at distance (w_j - w_k + d^2) / 2d,
+    # computed in place: three (rows x companies) arrays at most.
+    dx = positions[:, 0] - anchors[:, 0, None]
+    dy = positions[:, 1] - anchors[:, 1, None]
+    dist = np.multiply(dx, dx, out=dx)
+    dist += np.multiply(dy, dy, out=dy)
+    norms = np.sqrt(dist, out=dy)
+    norms *= 2.0
+    dist += weights
+    dist -= own[:, None]
+    dist[index, owners] = np.inf
+    norms[index, owners] = 1.0
+    dist /= norms
+    row = index[:, None]
+    if n - 1 <= _NEAREST:
+        # every bisector is near; the company itself sorts last
+        planes = np.argsort(dist, axis=1, kind="stable")[:, : n - 1]
+        beyond = np.full(rows, np.inf)
+    else:
+        split = np.argpartition(dist, _NEAREST, axis=1)
+        beyond = dist[index, split[:, _NEAREST]]
+        near = np.sort(split[:, :_NEAREST], axis=1)
+        del split
+        planes = near[row, np.argsort(dist[row, near], axis=1, kind="stable")]
+    plane_dist = dist[row, planes]
+    others = positions[planes]
+    normals = 2.0 * (others - anchors[:, None, :])
+    offsets = (
+        weights[planes] - own[:, None] + np.einsum("rmi,rmi->rm", others, others)
+        - np.einsum("ri,ri->r", anchors, anchors)[:, None]
+    )
+    verts, counts, reach, passes = clip_cells(
+        anchors, normals, offsets, plane_dist, scenario.window
+    )
+    area, lengths = loop_measures(verts, counts)
+    tol = EPS_GEOM * max(1.0, scenario.window.diameter)
+    cell = counts >= 3
+    reasons = [cell & (beyond < reach + tol)]
+    if tie_tol is None:
+        reasons.append(np.zeros(rows, dtype=bool))
+    else:
+        # Price gap of a bisector at any vertex is at least |a_j| (t_j - reach).
+        floor = dist - reach[:, None]
+        floor *= norms
+        floor[row, planes] = np.inf
+        reasons.append(cell & np.any(floor <= tie_tol, axis=1))
+    reasons.append(cell & np.any(lengths <= tol, axis=1))
+    reasons.append((counts == 1) | (counts == 2))
+    flagged = np.array(reasons)
+    fallback = np.where(flagged.any(axis=0), np.argmax(flagged, axis=0), -1)
+    return _NearestClip(verts, counts, area, planes, normals, offsets, passes, fallback)
+
+
+def _fallback_counts(fallback: np.ndarray) -> np.ndarray:
+    """Rows flagged by :func:`_clip_nearest`, per reason."""
+    return np.bincount(fallback[fallback >= 0], minlength=len(_FALLBACKS))
+
+
+def _fallback_note(counts: np.ndarray) -> str:
+    return ", ".join(f"{c} {name}" for c, name in zip(counts.tolist(), _FALLBACKS))
 
 
 def _partition_2d(
@@ -534,32 +698,64 @@ def _partition_2d(
 ) -> MarketPartition:
     n = len(scenario.companies)
     ids = scenario.ids
+    window = scenario.window
     eps_area = area_tolerance(scenario)
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
 
-    # Each surviving cell's border lengths and ties come from its own
-    # boundary, matched against the half-planes that cut it.
+    # All cells are clipped in row blocks; each surviving cell's border
+    # lengths and ties come from its own boundary, matched against the
+    # half-planes that cut it.  Rows the batch cannot certify are clipped
+    # by the scalar path.
     loops: list[np.ndarray] = []
     areas_by_index = np.zeros(n)
+    contact = np.zeros(n, dtype=bool)
     border: dict[tuple[int, int], float] = {}
     ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
-    for k in range(n):
-        normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
-        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
-        loops.append(verts)
-        if len(verts) >= 3:
-            areas_by_index[k] = loop_area(verts)
-        if areas_by_index[k] <= eps_area:
-            continue
-        lengths, ties_by_index[k] = _edge_attribution(
-            verts, normals, offsets, plane_ids, tie_tol
+    passes = 0
+    fallbacks = np.zeros(len(_FALLBACKS), dtype=np.intp)
+    step = _block_rows(n)
+    for start in range(0, n, step):
+        owners = np.arange(start, min(n, start + step))
+        batch = _clip_nearest(scenario, weights, owners, weights[owners], tie_tol)
+        passes += batch.passes
+        fallbacks += _fallback_counts(batch.fallback)
+        area = batch.area
+        kept = (batch.fallback < 0) & (area > eps_area)
+        attributed = iter(
+            _edge_attribution(
+                batch.verts[kept], batch.counts[kept], batch.normals[kept],
+                batch.offsets[kept], batch.planes[kept], tie_tol,
+            )
         )
-        for j, seg in lengths.items():
-            key = (min(k, j), max(k, j))
-            if key not in border or (k < j):
-                border[key] = seg
+        touches = window_contacts(batch.verts, batch.counts, window)
+        for r, k in enumerate(owners.tolist()):
+            if batch.fallback[r] < 0:
+                verts = batch.verts[r, : batch.counts[r]]
+                areas_by_index[k], contact[k] = area[r], touches[r]
+                lengths, ties = next(attributed) if kept[r] else ({}, set())
+            else:
+                verts, lengths, ties = _scalar_cell(scenario, weights, k, tie_tol)
+                areas_by_index[k] = loop_area(verts) if len(verts) >= 3 else 0.0
+                contact[k] = window_contact(verts, window)
+            loops.append(verts)
+            if areas_by_index[k] <= eps_area:
+                continue
+            ties_by_index[k] = ties
+            for j, seg in lengths.items():
+                key = (min(k, j), max(k, j))
+                if key not in border or (k < j):
+                    border[key] = seg
 
-    surviving = areas_by_index > eps_area
+    log = _debug_logger()
+    if log is not None:
+        log.debug(
+            "partition: %d companies in the plane, %d rows batched, %d clip passes, "
+            "%d rows sent to the scalar clip (%s)",
+            n, n - int(fallbacks.sum()), passes, int(fallbacks.sum()),
+            _fallback_note(fallbacks),
+        )
+
+    surviving = (areas_by_index > eps_area).tolist()
 
     cells: dict[int, Interval | ConvexPolygon | None] = {}
     areas: dict[int, float] = {}
@@ -573,11 +769,7 @@ def _partition_2d(
 
     if check_window:
         for k in range(n):
-            if (
-                surviving[k]
-                and not scenario.companies[k].frozen
-                and window_contact(loops[k], scenario.window)
-            ):
+            if surviving[k] and not scenario.companies[k].frozen and contact[k]:
                 raise WindowTooSmall(
                     f"non-frozen company {ids[k]} owns a window-edge cell; "
                     "the window understates its true market"
@@ -590,9 +782,10 @@ def _partition_2d(
     def _distance(a: int, b: int) -> float:
         return float(np.linalg.norm(scenario.positions[a] - scenario.positions[b]))
 
+    zero_border = EPS_GEOM * max(1.0, window.diameter)
     for (a, b), seg in sorted(border.items()):
         if surviving[a] and surviving[b]:
-            flag = seg <= EPS_GEOM * max(1.0, scenario.window.diameter)
+            flag = seg <= zero_border
             d = _distance(a, b)
             neighbors[ids[a]].append(NeighborEdge(ids[b], seg, d, flag))
             neighbors[ids[b]].append(NeighborEdge(ids[a], seg, d, flag))
@@ -816,12 +1009,10 @@ def fast_signature(
         beta = scenario.beta if scenario.q == 1 else 0.0
         slope = _line_slope(x[active], beta, slot)
         return LocalSolve(float(areas[slot]), float(slope), flanks)
-    normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
-    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+    tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
+    verts, lengths, _ = _scalar_cell(scenario, values, k, tie_tol)
     if len(verts) < 3:
         return LocalSolve(0.0, 0.0, None)
-    tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
-    lengths, _ = _edge_attribution(verts, normals, offsets, plane_ids, tie_tol)
     positions = scenario.positions
     slope = -sum(
         seg / (2.0 * float(np.hypot(*(positions[j] - positions[k]))))
@@ -836,11 +1027,6 @@ def fast_signature(
 # Batched areas over a vector of own prices
 # ---------------------------------------------------------------------------
 
-# Prices solved together.  Each holds about 1.5 KB of work arrays in the
-# plane, and blocks of 1,024 raised the peak resident memory of the
-# benchmark's 10,000-price audits by about 2 MB.
-_BLOCK = 256
-
 
 def areas_for_prices(
     scenario: Scenario, values: np.ndarray, company_id: int, prices: np.ndarray
@@ -851,11 +1037,11 @@ def areas_for_prices(
     price moves, so on a line all prices that share a survivor set share
     its boundaries ``r_a + P r_b`` (one solve with two right-hand sides),
     and in the plane the cell keeps its half-plane normals while their
-    offsets shift by ``-P`` (one vectorised clip pass per half-plane).
-    Rows the batch cannot settle the way the scalar solve would (an
-    invasion on a line; close vertices or a loop cut below three vertices
-    in the plane) are re-solved by the scalar path.  Prices are solved in
-    blocks of ``_BLOCK``.
+    offsets shift by ``-P`` (one batched clip per block of prices, each
+    price's cell cut by its nearest half-planes).  Rows the batch cannot
+    settle the way the scalar solve would (an invasion on a line; in the
+    plane, see :func:`_clip_nearest`) are re-solved by the scalar path.
+    Prices are solved in blocks of at most ``_BLOCK``.
     """
     prices = np.asarray(prices, dtype=float)
     k = scenario.index_of[company_id]
@@ -869,14 +1055,14 @@ def areas_for_prices(
                 company_id, len(prices), sets, invaded,
             )
         return out
-    out, passes, merged, short = _plane_areas(scenario, values, k, prices)
+    out, passes, fallbacks = _plane_areas(scenario, values, k, prices)
     log = _debug_logger()
     if log is not None:
         log.debug(
             "areas_for_prices: company %s, %d prices in the plane, %d half-plane "
-            "passes, %d rows re-solved by the scalar path (%d vertex merge, %d "
-            "under three vertices)",
-            company_id, len(prices), passes, merged + short, merged, short,
+            "passes, %d rows re-solved by the scalar path (%s)",
+            company_id, len(prices), passes, int(fallbacks.sum()),
+            _fallback_note(fallbacks),
         )
     return out
 
@@ -1029,39 +1215,30 @@ def _line_areas(
 
 def _plane_areas(
     scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
-) -> tuple[np.ndarray, int, int, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """``focal_cell_2d`` areas for every price through one batched clip
-    per block.  Rows with two consecutive vertices within the merge
-    tolerance, or cut to one or two vertices, are re-solved by
-    :func:`fast_area`.  Returns the areas, the clip passes and the counts
-    of both kinds of re-solved row."""
-    window = scenario.window
-    tol = EPS_GEOM * max(1.0, window.diameter)
+    per block of :func:`_clip_nearest` rows.  Rows it flags are re-solved
+    by :func:`fast_area`.  Returns the areas, the clip passes and the
+    re-solved rows per reason of ``_FALLBACKS``."""
     company_id = scenario.ids[k]
     out = np.zeros(len(prices))
-    passes = merged = short = 0
-    for start in range(0, len(prices), _BLOCK):
-        price_block = prices[start : start + _BLOCK]
-        weights = np.tile(values, (len(price_block), 1))
-        weights[:, k] = price_block
-        normals, offsets, _ = _cell_planes(scenario.positions, weights, k)
-        verts, counts, n_pass = clip_cells(scenario.positions[k], normals, offsets, window)
-        passes += n_pass
-        loop = np.arange(verts.shape[1]) < counts[:, None]
-        following = np.take_along_axis(verts, next_vertex(counts, verts.shape[1])[..., None], axis=1)
-        gap = np.hypot(*(following - verts).transpose(2, 0, 1))
-        close = (counts >= 3) & np.any(loop & (gap <= tol), axis=1)
-        cut_short = (counts == 1) | (counts == 2)
-        x, y = np.where(loop, verts[..., 0], 0.0), np.where(loop, verts[..., 1], 0.0)
-        xn, yn = following[..., 0], following[..., 1]
-        area = 0.5 * (np.sum(x * yn, axis=1) - np.sum(y * xn, axis=1))
-        area[counts < 3] = 0.0
-        for row in np.flatnonzero(close | cut_short):
-            area[row] = fast_area(scenario, weights[row], company_id)
+    passes = 0
+    fallbacks = np.zeros(len(_FALLBACKS), dtype=np.intp)
+    step = _block_rows(len(scenario.companies))
+    for start in range(0, len(prices), step):
+        price_block = prices[start : start + step]
+        batch = _clip_nearest(
+            scenario, values, np.full(len(price_block), k), price_block, None
+        )
+        passes += batch.passes
+        fallbacks += _fallback_counts(batch.fallback)
+        area = batch.area.copy()
+        for row in np.flatnonzero(batch.fallback >= 0):
+            weights = values.copy()
+            weights[k] = price_block[row]
+            area[row] = fast_area(scenario, weights, company_id)
         out[start : start + len(price_block)] = area
-        merged += int(np.count_nonzero(close))
-        short += int(np.count_nonzero(cut_short))
-    return out, passes, merged, short
+    return out, passes, fallbacks
 
 
 def compute_wipeout_diagnostics(
@@ -1080,14 +1257,15 @@ def compute_wipeout_diagnostics(
     if scenario.dimension != 1:
         raise ValueError("wipe-out diagnostics are defined on 1D markets")
     order, _ = line_layout(scenario)
-    keep = [k for k in order if scenario.ids[k] != company_id]
+    ids = scenario.ids
+    keep = [k for k in order if ids[k] != company_id]
     lo, hi = scenario.window.lo[0], scenario.window.hi[0]
     beta = scenario.beta if scenario.q == 1 else 0.0
     active, _, hidden_areas = _solve_line(
         scenario.positions[keep, 0], prices.as_array()[keep], beta, lo, hi,
         area_tolerance(scenario),
     )
-    hidden_ids = [scenario.ids[keep[a]] for a in active]
+    hidden_ids = [ids[keep[a]] for a in active]
     left, right = _nearest_flanks(scenario, set(hidden_ids))[company_id]
     if left is None or right is None:
         raise BoundaryCompany(

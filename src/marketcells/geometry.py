@@ -124,7 +124,8 @@ def clip_cell(
     half-planes by their boundary's distance from the anchor lets distant
     ones be skipped outright: once every current vertex is nearer to the
     anchor than a boundary line, that line (and all later ones) cannot cut
-    the cell.  Returns the vertex loop, possibly empty.
+    the cell.  Equal distances cut in input order, whatever sort the
+    platform's numpy dispatches.  Returns the vertex loop, possibly empty.
     """
     scale = max(1.0, window.diameter)
     verts = window.corners()
@@ -132,7 +133,7 @@ def clip_cell(
         return verts
     norms = np.hypot(normals[:, 0], normals[:, 1])
     t = (offsets - normals @ anchor) / norms
-    for idx in np.argsort(t):
+    for idx in np.argsort(t, kind="stable"):
         rho = float(np.max(np.hypot(*(verts - anchor).T)))
         if t[idx] >= rho + eps * scale:
             break
@@ -146,46 +147,44 @@ def clip_cell(
 
 
 def clip_cells(
-    anchor: np.ndarray,
+    anchors: np.ndarray,
     normals: np.ndarray,
     offsets: np.ndarray,
+    dists: np.ndarray,
     window: Box,
     eps: float = EPS_GEOM,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`clip_cell` for cells that share their normals, one row of
-    ``offsets`` per cell, clipped together.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`clip_cell` for many cells at once, each with its own anchor
+    and its own half-planes, already in cut order.
 
-    Every pass cuts each row with its own next-nearest half-plane, all
-    rows at once, as ``clip_by_halfplane`` would.  A row stops once its
-    next boundary lies beyond its farthest vertex, and also once it is cut
-    below three vertices; the passes stop when every row has.  No vertex
-    merging happens here.  Returns ``(verts, counts, passes)``: ``verts``
-    is ``(rows, width, 2)``, row ``r`` holding its loop in its first
-    ``counts[r]`` entries.
+    Row ``r`` is the cell around ``anchors[r]`` cut by ``normals[r, i] . x
+    <= offsets[r, i]``, whose boundary lies at distance ``dists[r, i]``
+    from the anchor, ascending along the row.  Every pass cuts each row
+    with its next half-plane, all rows at once, as ``clip_by_halfplane``
+    would.  A row stops once its next boundary lies beyond its farthest
+    vertex, and also once it is cut below three vertices; the passes stop
+    when every row has.  No vertex merging happens here, and the caller
+    checks that no half-plane beyond a row's last one could cut it.
+
+    Returns ``(verts, counts, reach, passes)``: ``verts`` is ``(rows,
+    width, 2)``, row ``r`` holding its loop in its first ``counts[r]``
+    entries, and ``reach[r]`` is the distance of its farthest vertex from
+    its anchor.
     """
-    rows = offsets.shape[0]
+    rows, planes = dists.shape
     scale = max(1.0, window.diameter)
     verts = np.tile(window.corners(), (rows, 1, 1))
     counts = np.full(rows, 4)
-    if len(normals) == 0:
-        return verts, counts, 0
-    norms = np.hypot(normals[:, 0], normals[:, 1])
-    t = (offsets - normals @ anchor) / norms
-    order = np.argsort(t, axis=1)
-    t = np.take_along_axis(t, order, axis=1)
     live = np.arange(rows)
     passes = 0
-    for i in range(len(normals)):
+    for i in range(planes):
         v = verts[live]
-        loop = np.arange(v.shape[1]) < counts[live, None]
-        rho = np.max(np.where(loop, np.hypot(*(v - anchor).transpose(2, 0, 1)), 0.0), axis=1)
-        near = t[live, i] < rho + eps * scale
+        near = dists[live, i] < _loop_reach(v, counts[live], anchors[live]) + eps * scale
         live, v = live[near], v[near]
         if len(live) == 0:
             break
         passes += 1
-        plane = order[live, i]
-        cut, cut_counts = _clip_rows(v, counts[live], normals[plane], offsets[live, plane])
+        cut, cut_counts = _clip_rows(v, counts[live], normals[live, i], offsets[live, i])
         if cut.shape[1] > verts.shape[1]:
             verts = np.concatenate(
                 [verts, np.zeros((rows, cut.shape[1] - verts.shape[1], 2))], axis=1
@@ -193,14 +192,30 @@ def clip_cells(
         verts[live, : cut.shape[1]] = cut
         counts[live] = cut_counts
         live = live[cut_counts >= 3]
-    return verts, counts, passes
+    return verts, counts, _loop_reach(verts, counts, anchors), passes
 
 
-def next_vertex(counts: np.ndarray, width: int) -> np.ndarray:
-    """Index of each vertex's successor in padded loops of ``counts``
-    vertices (``0`` after the last one)."""
-    k = np.arange(1, width + 1)
-    return np.where(k < counts[:, None], k, 0)
+def successors(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each entry's successor along the padded loops of axis 1: loop ``r``
+    holds its first ``counts[r]`` entries and wraps to its first one.
+    Entries past a loop's end hold no particular value."""
+    out = np.roll(values, -1, axis=1)
+    out[np.arange(len(values)), counts - 1] = values[:, 0]
+    return out
+
+
+def _loops(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the entries of padded loops that hold vertices, and each
+    vertex's successor."""
+    return np.arange(verts.shape[1]) < counts[:, None], successors(verts, counts)
+
+
+def _loop_reach(verts: np.ndarray, counts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """Distance of each padded loop's farthest vertex from its anchor
+    (``0`` for an empty loop)."""
+    loop = np.arange(verts.shape[1]) < counts[:, None]
+    dist = np.hypot(*(verts - anchors[:, None, :]).transpose(2, 0, 1))
+    return np.max(np.where(loop, dist, 0.0), axis=1, initial=0.0)
 
 
 def _clip_rows(
@@ -208,42 +223,62 @@ def _clip_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Sutherland-Hodgman pass per row: loop ``r`` (its first
     ``counts[r]`` vertices) cut by ``a[r] . x <= b[r]``."""
-    width = verts.shape[1]
+    rows, width = verts.shape[:2]
     loop = np.arange(width) < counts[:, None]
-    s = (verts @ a[:, :, None])[..., 0] - b[:, None]
-    following = next_vertex(counts, width)
-    s_next = np.take_along_axis(s, following, axis=1)
+    s = verts[..., 0] * a[:, 0, None] + verts[..., 1] * a[:, 1, None] - b[:, None]
+    s_next = successors(s, counts)
     inside = loop & (s <= 0.0)
     crossing = loop & (inside != (s_next <= 0.0))
     emitted = inside.astype(np.intp) + crossing
     slot = np.cumsum(emitted, axis=1) - emitted
-    cut_counts = emitted.sum(axis=1)
-    cut = np.zeros((len(verts), max(1, int(cut_counts.max())), 2))
-    row = np.broadcast_to(np.arange(len(verts))[:, None], loop.shape)
-    cut[row[inside], slot[inside]] = verts[inside]
-    v_next = np.take_along_axis(verts, following[..., None], axis=1)[crossing]
-    sk, sk2, vk = s[crossing], s_next[crossing], verts[crossing]
-    cut[row[crossing], slot[crossing] + inside[crossing]] = (
-        vk + (sk / (sk - sk2))[:, None] * (v_next - vk)
+    cut_counts = slot[:, -1] + emitted[:, -1]
+    cut = np.zeros((rows, max(1, int(cut_counts.max())), 2))
+    r, k = np.nonzero(inside)
+    cut[r, slot[r, k]] = verts[r, k]
+    r, k = np.nonzero(crossing)
+    sk, sk2, vk = s[r, k], s_next[r, k], verts[r, k]
+    cut[r, slot[r, k] + inside[r, k]] = vk + (sk / (sk - sk2))[:, None] * (
+        successors(verts, counts)[r, k] - vk
     )
     return cut, cut_counts
+
+
+def window_contacts(
+    verts: np.ndarray, counts: np.ndarray, window: Box, eps: float = EPS_GEOM
+) -> np.ndarray:
+    """Per padded loop: True when some edge lies on the window boundary."""
+    tol = eps * max(1.0, window.diameter)
+    loop, following = _loops(verts, counts)
+    hit = np.zeros(len(verts), dtype=bool)
+    for axis in (0, 1):
+        for bound in (window.lo[axis], window.hi[axis]):
+            on = (np.abs(verts[..., axis] - bound) <= tol) & (
+                np.abs(following[..., axis] - bound) <= tol
+            )
+            hit |= np.any(loop & on, axis=1)
+    return hit
 
 
 def window_contact(verts: np.ndarray, window: Box, eps: float = EPS_GEOM) -> bool:
     """True when some polygon edge lies on the window boundary."""
     if len(verts) == 0:
         return False
-    scale = max(1.0, window.diameter)
-    tol = eps * scale
-    nxt = np.roll(verts, -1, axis=0)
-    for axis in (0, 1):
-        for bound in (window.lo[axis], window.hi[axis]):
-            on = (np.abs(verts[:, axis] - bound) <= tol) & (
-                np.abs(nxt[:, axis] - bound) <= tol
-            )
-            if bool(np.any(on)):
-                return True
-    return False
+    return bool(window_contacts(verts[None], np.array([len(verts)]), window, eps)[0])
+
+
+def loop_measures(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shoelace area of each padded loop (``0`` below three vertices) and
+    the length of each edge from a vertex to its successor (``inf`` on
+    the padding)."""
+    loop, following = _loops(verts, counts)
+    x = np.where(loop, verts[..., 0], 0.0)
+    y = np.where(loop, verts[..., 1], 0.0)
+    area = 0.5 * (
+        np.sum(x * following[..., 1], axis=1) - np.sum(y * following[..., 0], axis=1)
+    )
+    area[counts < 3] = 0.0
+    lengths = np.where(loop, np.hypot(*(following - verts).transpose(2, 0, 1)), np.inf)
+    return area, lengths
 
 
 def loop_area(verts: np.ndarray) -> float:

@@ -185,7 +185,7 @@ class Scenario:
         arr.flags.writeable = False
         return arr
 
-    @property
+    @cached_property
     def ids(self) -> tuple[int, ...]:
         return tuple(c.id for c in self.companies)
 

@@ -7,12 +7,17 @@ import numpy as np
 from marketcells import (
     Box,
     Company,
+    ConvexPolygon,
+    MarketPartition,
+    NeighborEdge,
     PriceVector,
     Scenario,
     solve_partition,
     wipeout_threshold,
 )
+from marketcells.areas import _TIE_RTOL, _cell_planes, area_tolerance
 from marketcells.errors import MarketCellsError
+from marketcells.geometry import EPS_GEOM, clip_cell, loop_area
 
 # Acceptance bookkeeping: criterion number -> (label, passed, detail).
 ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
@@ -174,6 +179,34 @@ def lattice_2d(
     )
 
 
+def jittered_lattice_2d(rng: np.random.Generator, side: int) -> Scenario:
+    """``side``-by-``side`` lattice, positions jittered by up to 0.2, prices
+    in [0.8, 1.2], the boundary ring frozen; draws as the benchmark's
+    ``jittered_lattice`` does, so one seed gives the same market."""
+    companies = []
+    for i in range(side):
+        for j in range(side):
+            jitter = rng.uniform(-0.2, 0.2, size=2)
+            companies.append(
+                Company(
+                    len(companies),
+                    (i + float(jitter[0]), j + float(jitter[1])),
+                    float(rng.uniform(0.8, 1.2)),
+                    i in (0, side - 1) or j in (0, side - 1),
+                )
+            )
+    margin = 1.5
+    return Scenario(
+        dimension=2,
+        beta=0.0,
+        q=0,
+        companies=tuple(companies),
+        focal_box_half=side + margin,
+        price_upper=4.0,
+        window=Box((-margin, -margin), (side - 1 + margin, side - 1 + margin)),
+    )
+
+
 def random_line_scenario(rng: np.random.Generator, q: int = 0) -> Scenario:
     """Random 1D market: 5-12 companies, generic spacings and prices."""
     n = int(rng.integers(5, 13))
@@ -264,3 +297,118 @@ def random_scenario(rng: np.random.Generator, kind: str) -> Scenario:
     if kind == "plane":
         return random_plane_scenario(rng)
     raise ValueError(kind)
+
+
+# ---------------------------------------------------------------------------
+# Per-company reference partition
+# ---------------------------------------------------------------------------
+
+
+def reference_edges(verts, normals, offsets, plane_ids, tie_tol):
+    """Border lengths and vertex-only ties of one cell, edge by edge: an
+    edge belongs to the bisector tight (within ``tie_tol``) at both its
+    ends, the one with the smaller gap sum when several are."""
+    gaps = offsets[None, :] - verts @ normals.T
+    tight = gaps <= tie_tol
+    m = len(verts)
+    lengths: dict[int, float] = {}
+    for k in range(m):
+        k2 = (k + 1) % m
+        both = np.flatnonzero(tight[k] & tight[k2])
+        if len(both) == 0:
+            continue
+        j = int(plane_ids[both[int(np.argmin(gaps[k, both] + gaps[k2, both]))]])
+        lengths[j] = lengths.get(j, 0.0) + float(np.hypot(*(verts[k2] - verts[k])))
+    ties = {int(plane_ids[t]) for t in np.flatnonzero(tight.any(axis=0))}
+    return lengths, ties - set(lengths)
+
+
+def reference_partition_2d(scenario: Scenario, prices: PriceVector) -> MarketPartition:
+    """The plane partition clipped one company at a time with the scalar
+    ``clip_cell``, each cell matched against all its bisectors: the
+    reference the batched partition must reproduce (no window check)."""
+    n = len(scenario.companies)
+    ids = scenario.ids
+    weights = prices.as_array()
+    eps_area = area_tolerance(scenario)
+    tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
+    loops, areas_by_index = [], np.zeros(n)
+    border: dict[tuple[int, int], float] = {}
+    ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
+    for k in range(n):
+        normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
+        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+        loops.append(verts)
+        if len(verts) >= 3:
+            areas_by_index[k] = loop_area(verts)
+        if areas_by_index[k] <= eps_area:
+            continue
+        lengths, ties_by_index[k] = reference_edges(verts, normals, offsets, plane_ids, tie_tol)
+        for j, seg in lengths.items():
+            key = (min(k, j), max(k, j))
+            if key not in border or k < j:
+                border[key] = seg
+    surviving = areas_by_index > eps_area
+    neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
+    potential: dict[int, set[int]] = {cid: set() for cid in ids}
+
+    def distance(a, b):
+        return float(np.linalg.norm(scenario.positions[a] - scenario.positions[b]))
+
+    for (a, b), seg in sorted(border.items()):
+        if surviving[a] and surviving[b]:
+            flag = seg <= EPS_GEOM * max(1.0, scenario.window.diameter)
+            neighbors[ids[a]].append(NeighborEdge(ids[b], seg, distance(a, b), flag))
+            neighbors[ids[b]].append(NeighborEdge(ids[a], seg, distance(a, b), flag))
+            if flag:
+                potential[ids[a]].add(ids[b])
+                potential[ids[b]].add(ids[a])
+        elif surviving[a] != surviving[b]:
+            owner, ghost = (a, b) if surviving[a] else (b, a)
+            potential[ids[owner]].add(ids[ghost])
+    corners = set()
+    for k in range(n):
+        for j in ties_by_index[k]:
+            if surviving[k] and surviving[j]:
+                corners.add((min(k, j), max(k, j)))
+            elif surviving[k]:
+                potential[ids[k]].add(ids[j])
+    for a, b in sorted(corners - set(border)):
+        neighbors[ids[a]].append(NeighborEdge(ids[b], 0.0, distance(a, b), True))
+        neighbors[ids[b]].append(NeighborEdge(ids[a], 0.0, distance(a, b), True))
+        potential[ids[a]].add(ids[b])
+        potential[ids[b]].add(ids[a])
+    return MarketPartition(
+        dimension=2,
+        cells={
+            ids[k]: ConvexPolygon(loops[k]) if surviving[k] else None for k in range(n)
+        },
+        areas={ids[k]: float(areas_by_index[k]) if surviving[k] else 0.0 for k in range(n)},
+        neighbors={cid: tuple(v) for cid, v in neighbors.items()},
+        survivors=frozenset(ids[k] for k in range(n) if surviving[k]),
+        potential_competitors={cid: frozenset(s) for cid, s in potential.items()},
+    )
+
+
+def assert_same_partition(part: MarketPartition, ref: MarketPartition, scale: float) -> None:
+    """Same survivors, neighbor ids, flags and potential competitors; areas,
+    border lengths and vertices within ``1e-12 x scale``."""
+    tol = 1e-12 * scale
+    assert part.survivors == ref.survivors
+    assert part.potential_competitors == ref.potential_competitors
+    for cid, cell in ref.cells.items():
+        assert abs(part.areas[cid] - ref.areas[cid]) <= tol, cid
+        if cell is None:
+            assert part.cells[cid] is None, cid
+            continue
+        got = part.cells[cid].vertices
+        assert got.shape == cell.vertices.shape, cid
+        assert np.max(np.abs(got - cell.vertices)) <= tol, cid
+    for cid, edges in ref.neighbors.items():
+        got = part.neighbors[cid]
+        assert [(e.company_id, e.potential_competitor) for e in got] == [
+            (e.company_id, e.potential_competitor) for e in edges
+        ], cid
+        for e, f in zip(got, edges):
+            assert abs(e.border_length - f.border_length) <= tol, cid
+            assert e.distance == f.distance, cid

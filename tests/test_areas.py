@@ -1,5 +1,9 @@
 """Market partition solvers: direct diagrams, brand feedback, wipe-out."""
 
+import logging
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,20 +11,28 @@ from marketcells import (
     PriceVector,
     WindowTooSmall,
     compute_wipeout_diagnostics,
+    load_scenario,
     solve_areas_q0,
     solve_areas_q1_1d,
     solve_partition,
     wipeout_threshold,
 )
+from marketcells import areas
 from marketcells.errors import BoundaryCompany
 
 from helpers import (
     aggregate_price,
+    assert_same_partition,
+    jittered_lattice_2d,
     lattice_2d,
     line_scenario,
     random_line_scenario,
+    random_plane_scenario,
+    reference_partition_2d,
     triple_q1,
 )
+
+PLANE_LATTICE = Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "plane_lattice.json"
 
 
 class TestLineDirect:
@@ -302,3 +314,89 @@ class TestPotentialCompetitors:
         assert part.survivors == {0, 1, 2}
         assert not part.has_potential_competitor(0)
         assert not part.has_potential_competitor(1)
+
+
+def plane_market(name):
+    """A plane market by name: ``random-<seed>`` from the acceptance
+    suite's stream, the ``plane_lattice`` demo, or ``jittered-<side>``."""
+    if name.startswith("random-"):
+        return random_plane_scenario(np.random.default_rng(2000 + int(name[7:])))
+    if name == "plane_lattice":
+        return load_scenario(PLANE_LATTICE.read_text())
+    return jittered_lattice_2d(np.random.default_rng([1101, 4]), int(name[9:]))
+
+
+def partition_fallbacks(caplog, scn, prices):
+    """The partition at ``prices`` and the scalar-clip counts its debug
+    line reports, by reason."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
+        part = solve_partition(scn, prices, check_window=False)
+    (record,) = [r for r in caplog.records if r.msg.startswith("partition")]
+    counts = dict(
+        (name, int(c))
+        for c, name in (item.split(" ", 1) for item in record.args[-1].split(", "))
+    )
+    return part, counts
+
+
+class TestBatchedPartition:
+    @pytest.mark.parametrize(
+        "name",
+        [f"random-{seed}" for seed in range(8)] + ["plane_lattice", "jittered-15", "jittered-25"],
+    )
+    def test_matches_per_company_clip(self, name, caplog):
+        scn = plane_market(name)
+        pv = PriceVector.from_scenario(scn)
+        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        assert_same_partition(part, reference_partition_2d(scn, pv), max(1.0, scn.window.diameter))
+        assert sum(fallbacks.values()) <= 3
+
+    @pytest.mark.parametrize("name", ["random-0", "plane_lattice", "jittered-15"])
+    def test_two_nearest_planes_fall_back_to_the_scalar_clip(self, name, caplog, monkeypatch):
+        monkeypatch.setattr(areas, "_NEAREST", 2)
+        scn = plane_market(name)
+        pv = PriceVector.from_scenario(scn)
+        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        assert_same_partition(part, reference_partition_2d(scn, pv), max(1.0, scn.window.diameter))
+        assert fallbacks["reach"] >= len(scn.companies) // 2
+
+    def test_tie_beyond_the_nearest_planes(self, caplog, monkeypatch):
+        # Center 12 of a uniform 5x5 lattice with its four diagonal
+        # neighbors dearer by 3.5e-8: their bisectors pass 1.2e-8 beyond
+        # its corners, past the clip tolerance (1e-8) but within the tie
+        # tolerance (4e-8).  Cut with its four nearest planes only, the
+        # center must still see them as potential competitors.
+        monkeypatch.setattr(areas, "_NEAREST", 4)
+        scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
+        pv = PriceVector.from_scenario(scn)
+        for cid in (6, 8, 16, 18):
+            pv = pv.with_price(scn, cid, 1.0 + 3.5e-8)
+        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        assert_same_partition(part, reference_partition_2d(scn, pv), scn.window.diameter)
+        assert fallbacks["tie"] >= 1
+        assert part.potential_competitors[12] == {6, 8, 16, 18}
+
+    def test_close_vertices_take_the_scalar_merge(self, caplog):
+        # A diagonal neighbor cheaper by 1e-9 cuts the center's corner with
+        # an edge far below the merge tolerance.
+        scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
+        pv = PriceVector.from_scenario(scn).with_price(scn, 6, 1.0 - 1e-9)
+        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        assert_same_partition(part, reference_partition_2d(scn, pv), scn.window.diameter)
+        assert fallbacks["vertex merge"] >= 1
+        assert len(part.cells[12]) == 4
+
+    def test_peak_memory_of_a_625_company_partition(self):
+        # The per-company clip loop peaked at 1.7 MB here; the batched
+        # blocks may add at most 1 MB.
+        scn = jittered_lattice_2d(np.random.default_rng([1101, 4]), 25)
+        pv = PriceVector.from_scenario(scn)
+        solve_partition(scn, pv)
+        tracemalloc.start()
+        try:
+            solve_partition(scn, pv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.7e6

@@ -1,6 +1,9 @@
 """Command-line surface: subcommands, exit codes, report round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -99,6 +102,21 @@ class TestCells:
         assert code == 0
         assert "wipeout" in json.loads(out)
         assert len(calls) == 1
+
+    def test_output_independent_of_numpy_simd_dispatch(self):
+        # Tied clip distances must not be ordered by whichever sort kernel
+        # numpy dispatches on this CPU: cells on the lattice demo, whose
+        # cells tie on every ring of neighbors, are the same bytes with
+        # the AVX2 and AVX-512 kernels switched off.
+        src = Path(areas.__file__).resolve().parent.parent
+        probe = "import sys; from marketcells.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = [sys.executable, "-c", probe, "cells", str(SCENARIOS / "plane_lattice.json")]
+        env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
+        env["PYTHONPATH"] = str(src)
+        default = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+        baseline = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        assert default == baseline
 
     def test_missing_required_flag_exits_64(self, scenario_file, capsys):
         path = scenario_file(triple_q1(0.5))

@@ -112,6 +112,14 @@ class TestLoadScenario:
             load_scenario(json.dumps(doc))
 
 
+class TestScenarioViews:
+    def test_ids_built_once(self):
+        # line partitions read ``ids`` once per company
+        scn = lattice_2d(n=4)
+        assert scn.ids is scn.ids
+        assert scn.ids == tuple(c.id for c in scn.companies)
+
+
 class TestRoundTrip:
     def test_emit_then_load_is_identity(self):
         rng = np.random.default_rng(7)
