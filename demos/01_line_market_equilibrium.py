@@ -20,7 +20,7 @@ scenario = load_scenario(
 
 report = iterate_best_response(scenario, tol=1e-10 * scenario.price_upper)
 
-print(f"converged: {report.converged} after {report.iterations} sweeps "
+print(f"converged: {report.converged}, iterations: {report.iterations} "
       f"(residual {report.residual:.2e})")
 print()
 print(f"{'company':>8} {'frozen':>7} {'price':>10} {'area':>10} "

@@ -21,7 +21,7 @@ here = Path(__file__).parent
 scenario = load_scenario((here / "scenarios" / "plane_lattice.json").read_text())
 
 report = iterate_best_response(scenario, tol=1e-9 * scenario.price_upper)
-print(f"converged: {report.converged} after {report.iterations} sweeps")
+print(f"converged: {report.converged}, iterations: {report.iterations}")
 
 interior = [c for c in report.per_company.values() if not c.frozen]
 print(f"interior price span: "

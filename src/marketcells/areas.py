@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -45,6 +45,7 @@ __all__ = [
     "MarketPartition",
     "NeighborEdge",
     "WipeoutDiagnostics",
+    "area_jacobian",
     "areas_for_prices",
     "compute_wipeout_diagnostics",
     "solve_areas_q0",
@@ -58,8 +59,8 @@ __all__ = [
 _TIE_RTOL = 1e-8
 
 
-def _debug_logger():
-    """This module's logger when it has debug output on, else ``None``.
+def _debug_logger(name: str):
+    """The logger ``name`` when it has debug output on, else ``None``.
 
     Without ``logging`` imported nothing can have switched debug output
     on, so the module is not imported here: that keeps its import time
@@ -68,7 +69,7 @@ def _debug_logger():
     logging = sys.modules.get("logging")
     if logging is None:
         return None
-    log = logging.getLogger(__name__)
+    log = logging.getLogger(name)
     return log if log.isEnabledFor(logging.DEBUG) else None
 
 
@@ -92,7 +93,10 @@ class MarketPartition:
     competition-intensity sum ``l / (2 d)`` reads the same in both
     dimensions.  ``potential_competitors[i]`` collects zero-area
     companies tying somewhere on ``i``'s closed cell as well as
-    neighbors whose shared border has zero length.
+    neighbors whose shared border has zero length.  In 2D,
+    ``edge_owners[i][e]`` is the index (in ``scenario.companies``) of the
+    company whose bisector carries edge ``e`` of ``i``'s cell, from vertex
+    ``e`` to the next, or ``-1`` for a window edge.
     """
 
     dimension: int
@@ -101,6 +105,7 @@ class MarketPartition:
     neighbors: dict[int, tuple[NeighborEdge, ...]]
     survivors: frozenset[int]
     potential_competitors: dict[int, frozenset[int]]
+    edge_owners: dict[int, np.ndarray] = field(default_factory=dict)
 
     def gamma(self, company_id: int) -> float | None:
         """Competition intensity: sum of border length over twice the
@@ -421,23 +426,25 @@ def _partition_1d(
     # Zero-area companies tying a survivor's boundary price become its
     # potential competitors: one more price tick and they are real.
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
-    survived = set(active)
-    eliminated = [k for k in range(len(ids)) if k not in survived]
-    if eliminated:
-        envelope_p = p[active]
-        envelope_x = x[active]
-        # beta enters through solved areas; eliminated companies hold none.
-        w_active = envelope_p - beta * areas_arr
-        for k in eliminated:
-            f_k = p[k]  # zero area: brand bonus vanishes for q=1, cancels for q=0
-            for slot, cid in enumerate(survivor_ids):
-                for b in (bounds[slot], bounds[slot + 1]):
-                    if b in (lo, hi):
-                        continue
-                    own = w_active[slot] + (b - envelope_x[slot]) ** 2
-                    other = f_k + (b - x[k]) ** 2
-                    if abs(other - own) <= tie_tol:
-                        potential[cid].add(ids[k])
+    survived = np.zeros(len(ids), dtype=bool)
+    survived[active] = True
+    eliminated = np.flatnonzero(~survived)
+    if len(eliminated):
+        # Each survivor's two boundaries, window edges left out, against
+        # every eliminated company's field there.  beta enters through
+        # solved areas; eliminated companies hold none, so their brand
+        # bonus vanishes (q = 1) or cancels (q = 0).
+        slots = np.repeat(np.arange(len(active)), 2)
+        b = np.column_stack([bounds[:-1], bounds[1:]]).ravel()
+        inner = (b != lo) & (b != hi)
+        slots, b = slots[inner], b[inner]
+        own = p[active][slots] - beta * areas_arr[slots] + (b - x[active][slots]) ** 2
+        step = _block_rows(max(1, len(b)))
+        for start in range(0, len(eliminated), step):
+            out = eliminated[start : start + step, None]
+            other = p[out] + (b - x[out]) ** 2
+            for e, s in zip(*np.nonzero(np.abs(other - own) <= tie_tol)):
+                potential[survivor_ids[slots[s]]].add(ids[out[e, 0]])
 
     if check_window:
         for edge_slot in (0, len(active) - 1):
@@ -498,18 +505,18 @@ def focal_cell_2d(
 
 def _scalar_cell(
     scenario: Scenario, weights: np.ndarray, k: int, tie_tol: float
-) -> tuple[np.ndarray, dict[int, float], set[int]]:
-    """Company ``k``'s cell from the scalar clip, with the border lengths
-    and ties :func:`_edge_attribution` finds on it."""
+) -> tuple[np.ndarray, dict[int, float], set[int], np.ndarray]:
+    """Company ``k``'s cell from the scalar clip, with the border lengths,
+    ties and edge owners :func:`_edge_attribution` finds on it."""
     normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
     verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
     if len(verts) < 3:
-        return verts, {}, set()
-    ((lengths, ties),) = _edge_attribution(
+        return verts, {}, set(), np.empty(0, dtype=np.intp)
+    ((lengths, ties, owners),) = _edge_attribution(
         verts[None], np.array([len(verts)]), normals[None], offsets[None],
         plane_ids[None], tie_tol,
     )
-    return verts, lengths, ties
+    return verts, lengths, ties, owners
 
 
 def _edge_attribution(
@@ -519,7 +526,7 @@ def _edge_attribution(
     offsets: np.ndarray,
     plane_ids: np.ndarray,
     tie_tol: float,
-) -> list[tuple[dict[int, float], set[int]]]:
+) -> list[tuple[dict[int, float], set[int], np.ndarray]]:
     """Match the edges of padded loops to their generating bisectors.
 
     Row ``r`` is matched against its half-planes ``normals[r]``,
@@ -527,9 +534,11 @@ def _edge_attribution(
     bisector when the price gap is within ``tie_tol`` at both endpoints;
     of several such (coincident bisectors) the one with the smallest gap
     sum wins, the lowest company index on a tie.  Returns, per row,
-    ``(border_lengths, ties)``: per-company border length for every
-    company whose bisector carries an edge, and the set of companies
-    tying only at isolated vertices (corner contacts or zero-area ties).
+    ``(border_lengths, ties, owners)``: per-company border length for
+    every company whose bisector carries an edge, the set of companies
+    tying only at isolated vertices (corner contacts or zero-area ties),
+    and the company carrying each edge in loop order (``-1``: none, a
+    window edge).
     """
     loop = np.arange(verts.shape[1]) < counts[:, None]
     # price gap of every half-plane at every vertex: (rows, width, planes)
@@ -545,6 +554,9 @@ def _edge_attribution(
     carried = column >= 0
     on_edge[np.nonzero(carried)[0], column[carried]] = True
     tie_only = tight.any(axis=1) & ~on_edge
+    owners = np.where(
+        carried, np.take_along_axis(plane_ids, np.maximum(column, 0), axis=1), -1
+    )
     out = []
     for r in range(len(verts)):
         companies = plane_ids[r].tolist()
@@ -553,7 +565,7 @@ def _edge_attribution(
             if col >= 0:
                 lengths[companies[col]] = lengths.get(companies[col], 0.0) + length
         ties = {companies[c] for c in np.flatnonzero(tie_only[r]).tolist()}
-        out.append((lengths, ties))
+        out.append((lengths, ties, owners[r, : counts[r]]))
     return out
 
 
@@ -711,6 +723,7 @@ def _partition_2d(
     contact = np.zeros(n, dtype=bool)
     border: dict[tuple[int, int], float] = {}
     ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
+    owners_by_index: dict[int, np.ndarray] = {}
     passes = 0
     fallbacks = np.zeros(len(_FALLBACKS), dtype=np.intp)
     step = _block_rows(n)
@@ -732,21 +745,22 @@ def _partition_2d(
             if batch.fallback[r] < 0:
                 verts = batch.verts[r, : batch.counts[r]]
                 areas_by_index[k], contact[k] = area[r], touches[r]
-                lengths, ties = next(attributed) if kept[r] else ({}, set())
+                lengths, ties, owners = next(attributed) if kept[r] else ({}, set(), None)
             else:
-                verts, lengths, ties = _scalar_cell(scenario, weights, k, tie_tol)
+                verts, lengths, ties, owners = _scalar_cell(scenario, weights, k, tie_tol)
                 areas_by_index[k] = loop_area(verts) if len(verts) >= 3 else 0.0
                 contact[k] = window_contact(verts, window)
             loops.append(verts)
             if areas_by_index[k] <= eps_area:
                 continue
             ties_by_index[k] = ties
+            owners_by_index[k] = owners
             for j, seg in lengths.items():
                 key = (min(k, j), max(k, j))
                 if key not in border or (k < j):
                     border[key] = seg
 
-    log = _debug_logger()
+    log = _debug_logger(__name__)
     if log is not None:
         log.debug(
             "partition: %d companies in the plane, %d rows batched, %d clip passes, "
@@ -779,14 +793,12 @@ def _partition_2d(
     neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
     potential: dict[int, set[int]] = {cid: set() for cid in ids}
 
-    def _distance(a: int, b: int) -> float:
-        return float(np.linalg.norm(scenario.positions[a] - scenario.positions[b]))
-
     zero_border = EPS_GEOM * max(1.0, window.diameter)
-    for (a, b), seg in sorted(border.items()):
+    pairs = sorted(border.items())
+    distances = _pair_distances(scenario.positions, [key for key, _ in pairs])
+    for ((a, b), seg), d in zip(pairs, distances):
         if surviving[a] and surviving[b]:
             flag = seg <= zero_border
-            d = _distance(a, b)
             neighbors[ids[a]].append(NeighborEdge(ids[b], seg, d, flag))
             neighbors[ids[b]].append(NeighborEdge(ids[a], seg, d, flag))
             if flag:
@@ -806,10 +818,8 @@ def _partition_2d(
             elif surviving[k] and not surviving[j]:
                 potential[ids[k]].add(ids[j])
 
-    for a, b in sorted(corner_pairs):
-        if (a, b) in border:
-            continue
-        d = _distance(a, b)
+    corners = sorted(corner_pairs - border.keys())
+    for (a, b), d in zip(corners, _pair_distances(scenario.positions, corners)):
         neighbors[ids[a]].append(NeighborEdge(ids[b], 0.0, d, True))
         neighbors[ids[b]].append(NeighborEdge(ids[a], 0.0, d, True))
         potential[ids[a]].add(ids[b])
@@ -822,7 +832,93 @@ def _partition_2d(
         neighbors={cid: tuple(v) for cid, v in neighbors.items()},
         survivors=frozenset(ids[k] for k in range(n) if surviving[k]),
         potential_competitors={cid: frozenset(s) for cid, s in potential.items()},
+        edge_owners={ids[k]: owners for k, owners in owners_by_index.items()},
     )
+
+
+def _pair_distances(positions: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
+    """Distance between the companies of each index pair.  Each is the
+    square root of one dot product, as ``np.linalg.norm`` takes it for a
+    single pair, so both agree to the bit."""
+    if not pairs:
+        return []
+    diff = positions[[a for a, _ in pairs]] - positions[[b for _, b in pairs]]
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]).tolist()
+
+
+def area_jacobian(
+    scenario: Scenario, part: MarketPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact price derivatives of every area and competition intensity on
+    the piece of ``part``, for ``q = 0``: ``(dS, dgamma)`` with ``dS[i, j] =
+    dS_i / dP_j`` and ``dgamma[i, j] = dgamma_i / dP_j``, over company
+    indices.
+
+    ``dS_i / dP_j = l_ij / (2 d_ij)`` for a neighbor ``j`` and ``dS_i / dP_i
+    = -gamma_i``.  On a line every border length is 1, so ``dgamma = 0``.
+    In the plane each vertex of a cell lies on the lines ``n . x = h`` of
+    its two edges, so it moves by ``M^-1 dh`` with ``M`` stacking their
+    normals.  The bisector with company ``j`` on ``i``'s cell has ``n =
+    2 (x_j - x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1``
+    per unit of ``P_i``; window edges do not move.  An edge's length moves
+    by its unit direction dotted with the motion of its end over its start.
+    """
+    index = scenario.index_of
+    n = len(scenario.companies)
+    dS = np.zeros((n, n))
+    for cid, edges in part.neighbors.items():
+        i = index[cid]
+        for e in edges:
+            dS[i, index[e.company_id]] += e.border_length / (2.0 * e.distance)
+    dS[np.diag_indices(n)] = -dS.sum(axis=1)
+    dgamma = np.zeros((n, n))
+    if not part.edge_owners:
+        return dS, dgamma
+
+    counts = [len(o) for o in part.edge_owners.values()]
+    cell = np.repeat([index[cid] for cid in part.edge_owners], counts)
+    owner = np.concatenate(list(part.edge_owners.values()))
+    start = np.concatenate([part.cells[cid].vertices for cid in part.edge_owners])
+    # each edge's predecessor and successor along its own loop
+    last = np.cumsum(counts) - 1
+    first = last - np.array(counts) + 1
+    succ = np.arange(len(owner)) + 1
+    succ[last] = first
+    prev = np.arange(len(owner)) - 1
+    prev[first] = last
+    along = start[succ] - start
+
+    bisector = owner >= 0
+    direction = along / np.hypot(along[:, 0], along[:, 1])[:, None]
+    far = scenario.positions[owner[bisector]] - scenario.positions[cell[bisector]]
+    normal = np.column_stack([direction[:, 1], -direction[:, 0]])
+    normal[bisector] = 2.0 * far
+    # vertex e, where edge e starts, lies on the lines of edges prev[e] and
+    # e: it moves by inv[e, :, 0] dh_prev + inv[e, :, 1] dh_e
+    a, b = normal[prev], normal
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.stack([b[:, ::-1] * [1.0, -1.0], a[:, ::-1] * [-1.0, 1.0]], axis=2)
+        inv /= det[:, None, None]
+    # edge e's length moves by u_e . (dv_succ - dv_e), a combination of the
+    # offsets of the lines of edges e, succ[e] and prev[e]
+    here = np.einsum("ei,eik->ek", direction, inv)
+    there = np.einsum("ei,eik->ek", direction, inv[succ])
+    terms = (
+        (np.arange(len(owner)), there[:, 0] - here[:, 1]),
+        (succ, there[:, 1]),
+        (prev, -here[:, 0]),
+    )
+    weight = np.zeros(len(owner))
+    weight[bisector] = 1.0 / (2.0 * np.hypot(far[:, 0], far[:, 1]))
+    for line, coef in terms:
+        # the line of edge f moves by +1 per unit of its owner's price and
+        # by -1 per unit of its cell's own; window lines do not move
+        moving = bisector & bisector[line]
+        rows, value = cell[moving], (weight * coef)[moving]
+        np.add.at(dgamma, (rows, owner[line[moving]]), value)
+        np.add.at(dgamma, (rows, rows), -value)
+    return dS, dgamma
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1106,7 @@ def fast_signature(
         slope = _line_slope(x[active], beta, slot)
         return LocalSolve(float(areas[slot]), float(slope), flanks)
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
-    verts, lengths, _ = _scalar_cell(scenario, values, k, tie_tol)
+    verts, lengths, _, _ = _scalar_cell(scenario, values, k, tie_tol)
     if len(verts) < 3:
         return LocalSolve(0.0, 0.0, None)
     positions = scenario.positions
@@ -1047,7 +1143,7 @@ def areas_for_prices(
     k = scenario.index_of[company_id]
     if scenario.dimension == 1:
         out, sets, invaded = _line_areas(scenario, values, k, prices)
-        log = _debug_logger()
+        log = _debug_logger(__name__)
         if log is not None:
             log.debug(
                 "areas_for_prices: company %s, %d prices on a line, %d survivor "
@@ -1056,7 +1152,7 @@ def areas_for_prices(
             )
         return out
     out, passes, fallbacks = _plane_areas(scenario, values, k, prices)
-    log = _debug_logger()
+    log = _debug_logger(__name__)
     if log is not None:
         log.debug(
             "areas_for_prices: company %s, %d prices in the plane, %d half-plane "

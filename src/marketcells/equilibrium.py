@@ -1,6 +1,9 @@
 """Equilibrium search and verification.
 
-Iterated best response drives prices to a fixed point.  Under linear
+Without brand feedback, Newton's method on the price-area identity
+``S_i = P_i gamma_i`` first brings prices to its root, and iterated best
+response then certifies it; with feedback, iterated best response alone
+drives prices to a fixed point.  Under linear
 brand feedback the market may not admit a state where everyone prices
 freely: companies packed tighter than the wipe-out threshold are then
 *hidden* (parked at the price ceiling with no market) by an activation
@@ -15,12 +18,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .areas import (
     MarketPartition,
     WipeoutDiagnostics,
+    _debug_logger,
+    area_jacobian,
     area_tolerance,
     fast_signature,
     line_layout,
@@ -28,7 +34,7 @@ from .areas import (
     solve_areas_q1_1d,
     solve_partition,
 )
-from .errors import NoValidScheme, ValidationError
+from .errors import MarketCellsError, NoValidScheme, ValidationError
 from .model import PriceVector, Scenario
 from .response import best_response, profit_curve, utility
 
@@ -48,6 +54,9 @@ __all__ = [
 TOL_RTOL = 1e-8
 MAX_SWEEPS = 10_000
 ONE_SIDED_STEP_RTOL = 1e-6
+# Newton steps before the best-response sweeps take over from the best
+# iterate; a converging solve takes 1-2 on a line and about 5 in the plane.
+NEWTON_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -213,6 +222,72 @@ def _sweep(
     return moved, residual
 
 
+class _NewtonRun(NamedTuple):
+    """Where the Newton phase left the prices, and how it got there."""
+
+    prices: PriceVector
+    moves: int
+    residuals: list[float]
+    handover: str | None
+
+
+def _newton(
+    scenario: Scenario, prices: PriceVector, optimizers: list[int], tol: float
+) -> _NewtonRun:
+    """Newton's method on ``F_i(P) = S_i(P) - P_i gamma_i(P)`` over the
+    optimizers' prices, for ``q = 0``.
+
+    Each step solves one partition, takes the exact Jacobian from it
+    (:func:`area_jacobian`) and solves ``J dP = -F``.  Corner contacts make
+    ``F`` only piecewise smooth, so this is semismooth Newton: neither a
+    rise of ``max|F|`` nor a change of neighbor set stops it.  It stops at
+    the point a step reaches when no price moved by more than ``tol``.  It
+    hands over its best iterate (the smallest ``max|F|``), with the reason,
+    when an optimizer holds no market, a price leaves ``[0, price_upper]``,
+    the Jacobian is singular or not finite, a partition fails, or
+    ``NEWTON_STEPS`` steps have not converged.  ``moves`` counts the steps
+    that moved a price by more than ``tol``; ``residuals`` holds ``max|F|``
+    at each partition solved.
+    """
+    index = [scenario.index_of[cid] for cid in optimizers]
+    values = prices.as_array()
+    best, best_residual = prices, math.inf
+    residuals: list[float] = []
+    moves = 0
+    for _ in range(NEWTON_STEPS):
+        current = PriceVector(tuple(values.tolist()))
+        try:
+            part = solve_partition(scenario, current, check_window=False)
+        except MarketCellsError as exc:
+            return _NewtonRun(best, moves, residuals, f"partition failed ({exc})")
+        empty = next((cid for cid in optimizers if part.cells[cid] is None), None)
+        if empty is not None:
+            return _NewtonRun(best, moves, residuals, f"company {empty} holds no market")
+        area = np.array([part.areas[cid] for cid in optimizers])
+        gamma = np.array([part.gamma(cid) or 0.0 for cid in optimizers])
+        price = values[index]
+        residual = area - price * gamma
+        residuals.append(float(np.max(np.abs(residual))))
+        if residuals[-1] < best_residual:
+            best, best_residual = current, residuals[-1]
+        d_area, d_gamma = (m[np.ix_(index, index)] for m in area_jacobian(scenario, part))
+        jacobian = d_area - np.diag(gamma) - price[:, None] * d_gamma
+        try:
+            step = np.linalg.solve(jacobian, -residual)
+        except np.linalg.LinAlgError:
+            step = np.full(len(index), np.nan)
+        if not np.all(np.isfinite(step)):
+            return _NewtonRun(best, moves, residuals, "Jacobian singular or not finite")
+        price = price + step
+        if np.any(price < 0.0) or np.any(price > scenario.price_upper):
+            return _NewtonRun(best, moves, residuals, "a price left [0, price_upper]")
+        values[index] = price
+        if float(np.max(np.abs(step))) <= tol:
+            return _NewtonRun(PriceVector(tuple(values.tolist())), moves, residuals, None)
+        moves += 1
+    return _NewtonRun(best, moves, residuals, f"no convergence in {NEWTON_STEPS} steps")
+
+
 def _partition(
     scenario: Scenario, prices: PriceVector
 ) -> tuple[MarketPartition, WipeoutDiagnostics | None]:
@@ -233,12 +308,16 @@ def iterate_best_response(
     """Replace each optimizer's price with its best response until the
     largest single-sweep move drops below ``tol``.
 
-    ``roundrobin`` commits each best response immediately (in company-id
-    order); ``simultaneous`` computes all of them against a snapshot and
-    commits together, which can orbit: a two-cycle is detected and
-    reported as non-convergence with the cycle attached.  ``iterations``
-    counts sweeps that still moved prices, so starting at an equilibrium
-    reports zero.
+    Without brand feedback (``q = 0``) the sweeps start where Newton's
+    method on the price-area identity stops (:func:`_newton`), so they
+    normally certify its root with one sweep that moves nothing; they
+    start from its best iterate when it hands over.  ``roundrobin``
+    commits each best response immediately (in company-id order);
+    ``simultaneous`` computes all of them against a snapshot and commits
+    together, which can orbit: a two-cycle is detected and reported as
+    non-convergence with the cycle attached.  ``iterations`` counts the
+    Newton steps and sweeps that moved a price by more than ``tol``, so
+    starting at an equilibrium reports zero.
     """
     if schedule not in ("roundrobin", "simultaneous"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -257,11 +336,16 @@ def iterate_best_response(
             prices = prices.with_price(scenario, hid, scenario.price_upper)
         optimizers = [cid for cid in optimizers if cid not in activation.hidden]
 
+    newton = None
+    if scenario.q == 0 and optimizers:
+        newton = _newton(scenario, prices, optimizers, tol)
+        prices = newton.prices
+
     history = [prices.values]
     converged = False
-    iterations = 0
+    iterations = newton.moves if newton is not None else 0
     cycle = None
-    for _ in range(max_iter):
+    for sweeps in range(1, max_iter + 1):
         prices, residual = _sweep(scenario, prices, optimizers, schedule == "simultaneous")
         history.append(prices.values)
         if residual <= tol:
@@ -275,6 +359,16 @@ def iterate_best_response(
         ):
             cycle = (PriceVector(history[-2]), PriceVector(history[-1]))
             break
+
+    log = _debug_logger(__name__)
+    if log is not None and newton is not None:
+        log.debug(
+            "newton: %d steps, max|F| %s, %s, %d certificate sweeps",
+            newton.moves + (newton.handover is None),
+            "[" + ", ".join(f"{r:.2e}" for r in newton.residuals) + "]",
+            f"handed over: {newton.handover}" if newton.handover else "converged",
+            sweeps,
+        )
 
     part, wipeout = _partition(scenario, prices)
     return EquilibriumReport(

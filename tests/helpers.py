@@ -289,6 +289,49 @@ def random_plane_scenario(rng: np.random.Generator) -> Scenario:
     raise RuntimeError("could not draw a valid random 2D scenario")
 
 
+def ring_market(rng: np.random.Generator, n_focal: int = 2) -> Scenario:
+    """``n_focal`` free companies inside a frozen ring of eight; draws as
+    the benchmark's ``ring_market`` does, so one seed gives the same
+    market."""
+    center = np.array([3.0, 3.0])
+    for _ in range(50):
+        points: list[np.ndarray] = []
+        while len(points) < n_focal:
+            cand = center + rng.uniform(-0.9, 0.9, size=2)
+            if all(np.linalg.norm(cand - p) > 0.5 for p in points):
+                points.append(cand)
+        angles = (
+            2.0 * np.pi * (np.arange(8) + rng.uniform(-0.3, 0.3, size=8)) / 8
+            + rng.uniform(0.0, 2.0 * np.pi)
+        )
+        ring = [
+            center + rng.uniform(2.0, 2.4) * np.array([np.cos(a), np.sin(a)])
+            for a in angles
+        ]
+        companies = [
+            Company(k, (float(p[0]), float(p[1])), float(rng.uniform(0.6, 1.2)), False)
+            for k, p in enumerate(points)
+        ] + [
+            Company(n_focal + k, (float(p[0]), float(p[1])), float(rng.uniform(0.8, 1.4)), True)
+            for k, p in enumerate(ring)
+        ]
+        scn = Scenario(
+            dimension=2,
+            beta=0.0,
+            q=0,
+            companies=tuple(companies),
+            focal_box_half=8.0,
+            price_upper=8.0,
+            window=Box((-0.8, -0.8), (6.8, 6.8)),
+        )
+        try:
+            solve_partition(scn, PriceVector.from_scenario(scn))
+        except MarketCellsError:
+            continue
+        return scn
+    raise RuntimeError("could not draw a ring market that solves at its own prices")
+
+
 def random_scenario(rng: np.random.Generator, kind: str) -> Scenario:
     if kind == "line":
         return random_line_scenario(rng, q=0)

@@ -315,6 +315,32 @@ class TestPotentialCompetitors:
         assert not part.has_potential_competitor(0)
         assert not part.has_potential_competitor(1)
 
+    def test_line_ties_match_a_scan_of_every_boundary(self):
+        # Every third company priced to tie its flanks' boundary exactly,
+        # every sixth just above that, so it loses without a tie.
+        n = 31
+        prices = [1.0] * n
+        for k in range(1, n - 1, 3):
+            prices[k] = 2.0 + (1e-3 if k % 6 == 4 else 0.0)
+        positions = [float(k) for k in range(n)]
+        scn = line_scenario(positions, prices)
+        part = solve_areas_q0(scn, PriceVector.from_scenario(scn))
+        lo, hi = scn.window.lo[0], scn.window.hi[0]
+        tol = areas._TIE_RTOL * max(1.0, scn.price_upper)
+        expected = {cid: set() for cid in scn.ids}
+        for cid in part.survivors:
+            cell = part.cells[cid]
+            for x in (cell.lo, cell.hi):
+                if x in (lo, hi):
+                    continue
+                own = aggregate_price(scn, cid, (x,), part.areas[cid])
+                for other in set(scn.ids) - part.survivors:
+                    if abs(aggregate_price(scn, other, (x,), 0.0) - own) <= tol:
+                        expected[cid].add(other)
+        assert part.survivors == {k for k in range(n) if k % 3 != 1}
+        assert {cid: set(s) for cid, s in part.potential_competitors.items()} == expected
+        assert expected[0] == expected[2] == {1} and expected[3] == set()
+
 
 def plane_market(name):
     """A plane market by name: ``random-<seed>`` from the acceptance
@@ -400,3 +426,79 @@ class TestBatchedPartition:
         finally:
             tracemalloc.stop()
         assert peak <= 2.7e6
+
+
+def _price_area_residual(scn, values, optimizers):
+    """``F_i = S_i - P_i gamma_i`` over ``optimizers`` (indices), from one
+    partition at ``values``."""
+    part = solve_partition(scn, PriceVector(tuple(values)), check_window=False)
+    ids = [scn.ids[k] for k in optimizers]
+    return np.array([part.areas[c] - values[k] * part.gamma(c) for c, k in zip(ids, optimizers)])
+
+
+def jacobian_markets():
+    """Off-equilibrium markets for the Jacobian checks: the acceptance
+    suite's plane markets and the ``plane_lattice`` demo with their free
+    prices scaled by up to 10%, and one line at its own prices."""
+    rng = np.random.default_rng(88)
+    out = []
+    for name in [f"random-{k}" for k in range(8)] + ["plane_lattice"]:
+        scn = plane_market(name)
+        values = PriceVector.from_scenario(scn).as_array()
+        free = [k for k, c in enumerate(scn.companies) if not c.frozen]
+        values[free] *= rng.uniform(0.9, 1.1, size=len(free))
+        out.append(pytest.param(scn, values, id=name))
+    scn = random_line_scenario(np.random.default_rng(1003), q=0)
+    out.append(pytest.param(scn, PriceVector.from_scenario(scn).as_array(), id="line-1003"))
+    return out
+
+
+class TestAreaJacobian:
+    @pytest.mark.parametrize("scn, values", jacobian_markets())
+    def test_matches_central_differences(self, scn, values):
+        free = [k for k, c in enumerate(scn.companies) if not c.frozen]
+        part = solve_partition(scn, PriceVector(tuple(values)), check_window=False)
+        d_area, d_gamma = (m[np.ix_(free, free)] for m in areas.area_jacobian(scn, part))
+        gamma = np.array([part.gamma(scn.ids[k]) for k in free])
+        jacobian = d_area - np.diag(gamma) - values[free][:, None] * d_gamma
+        h = 1e-5
+        numeric = np.empty_like(jacobian)
+        for col, k in enumerate(free):
+            up, down = values.copy(), values.copy()
+            up[k] += h
+            down[k] -= h
+            numeric[:, col] = (
+                _price_area_residual(scn, up, free) - _price_area_residual(scn, down, free)
+            ) / (2.0 * h)
+        assert np.max(np.abs(jacobian - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(jacobian)))
+        if scn.dimension == 2:
+            # the border-length derivatives carry weight: freezing gamma
+            # would miss them
+            assert np.max(np.abs(values[free][:, None] * d_gamma)) > 1e-2
+        else:
+            assert not d_gamma.any()
+
+    @pytest.mark.parametrize("name", ["random-0", "plane_lattice", "jittered-15"])
+    def test_edge_owners_carry_the_border_lengths(self, name):
+        scn = plane_market(name)
+        part = solve_partition(scn, PriceVector.from_scenario(scn), check_window=False)
+        window = scn.window
+        assert set(part.edge_owners) == part.survivors
+        for cid, owners in part.edge_owners.items():
+            verts = part.cells[cid].vertices
+            assert len(owners) == len(verts)
+            ends = np.roll(verts, -1, axis=0)
+            lengths = np.hypot(*(ends - verts).T)
+            by_owner: dict[int, float] = {}
+            for owner, length, a, b in zip(owners.tolist(), lengths, verts, ends):
+                if owner < 0:
+                    on_side = np.isclose(a, window.lo) & np.isclose(b, window.lo)
+                    on_side |= np.isclose(a, window.hi) & np.isclose(b, window.hi)
+                    assert on_side.any(), (cid, a, b)
+                else:
+                    j = scn.ids[owner]
+                    by_owner[j] = by_owner.get(j, 0.0) + length
+            borders = {e.company_id: e.border_length for e in part.neighbors[cid] if e.border_length > 0}
+            assert by_owner.keys() == borders.keys()
+            for j, length in by_owner.items():
+                assert length == pytest.approx(borders[j], abs=1e-12 * window.diameter)

@@ -1,6 +1,7 @@
 """Activation, iterated best response, and equilibrium verification."""
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,8 @@ from helpers import (
     line_scenario,
     own_threshold,
     random_line_scenario,
+    random_plane_scenario,
+    ring_market,
     triple_q1,
 )
 
@@ -155,6 +158,99 @@ class TestIterate:
         assert report.converged
         again = iterate_best_response(scn, init=report.prices)
         assert again.iterations == 0
+
+
+def newton_markets():
+    """The markets of criteria 1 and 2, the acceptance suite's twenty
+    random markets and the twelve rings of a benchmark ``plane-eq`` round."""
+    out = [
+        pytest.param(
+            lattice_1d(n=11, endpoint_price=1.0, interior_price=0.5, price_upper=4.0),
+            id="criterion-1",
+        ),
+        pytest.param(
+            lattice_2d(n=7, boundary_price=0.5, interior_price=1.0, price_upper=4.0),
+            id="criterion-2",
+        ),
+    ]
+    out += [
+        pytest.param(random_line_scenario(np.random.default_rng(1000 + k), q=0), id=f"line-{k}")
+        for k in range(12)
+    ]
+    out += [
+        pytest.param(random_plane_scenario(np.random.default_rng(2000 + k)), id=f"plane-{k}")
+        for k in range(8)
+    ]
+    rng = np.random.default_rng([7, 1])
+    out += [pytest.param(ring_market(rng), id=f"ring-{k}") for k in range(12)]
+    return out
+
+
+def newton_record(caplog):
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("newton:")]
+    return record.getMessage()
+
+
+class TestNewton:
+    @pytest.mark.parametrize("scn", newton_markets())
+    def test_agrees_with_best_response_alone(self, scn, monkeypatch):
+        report = iterate_best_response(scn)
+        monkeypatch.setattr(eq_mod, "NEWTON_STEPS", 0)
+        alone = iterate_best_response(scn)
+        assert report.converged and alone.converged
+        gap = np.max(np.abs(report.prices.as_array() - alone.prices.as_array()))
+        assert gap <= eq_mod.TOL_RTOL * scn.price_upper
+        assert report.iterations <= alone.iterations
+
+    def test_plane_lattice_takes_one_certificate_sweep(self, monkeypatch, caplog):
+        scn = load_scenario((SCENARIOS / "plane_lattice.json").read_text())
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return response_mod.best_response(*args, **kwargs)
+
+        monkeypatch.setattr(eq_mod, "best_response", counted)
+        with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
+            report = iterate_best_response(scn)
+        assert report.converged
+        assert len(calls) <= 25
+        message = newton_record(caplog)
+        assert "converged, 1 certificate sweeps" in message
+
+    def test_empty_cell_hands_over_to_best_response(self, monkeypatch, caplog):
+        scn = random_line_scenario(np.random.default_rng(1009), q=0)
+        start = solve_partition(scn, PriceVector.from_scenario(scn))
+        assert start.areas[2] == 0.0
+        with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
+            report = iterate_best_response(scn)
+        assert report.converged
+        message = newton_record(caplog)
+        assert "handed over: company 2 holds no market" in message
+        sweeps = int(message.rsplit(", ", 1)[1].split()[0])
+        assert sweeps > 1
+        monkeypatch.setattr(eq_mod, "NEWTON_STEPS", 0)
+        assert iterate_best_response(scn).prices == report.prices
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_unusable_jacobian_hands_over(self, fill, monkeypatch, caplog):
+        # fill 0 makes J exactly zero (LinAlgError), nan makes it not finite
+        def broken(scenario, part):
+            n = len(scenario.companies)
+            d_area = np.full((n, n), fill)
+            for cid in part.neighbors:
+                k = scenario.index_of[cid]
+                d_area[k, k] = part.gamma(cid) or 0.0
+            return d_area, np.zeros((n, n))
+
+        monkeypatch.setattr(eq_mod, "area_jacobian", broken)
+        scn = lattice_1d(n=7)
+        with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
+            report = iterate_best_response(scn, tol=1e-10 * scn.price_upper)
+        assert report.converged
+        assert "handed over: Jacobian singular or not finite" in newton_record(caplog)
+        for cid in range(1, 6):
+            assert report.prices.price_of(scn, cid) == pytest.approx(1.0, abs=1e-7)
 
 
 class TestVerify:

@@ -24,3 +24,14 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from marketcells import *", namespace)
     assert set(marketcells.__all__) <= set(namespace)
+
+
+def test_import_leaves_logging_out():
+    # debug lines look their logger up only once something imported logging
+    src = Path(marketcells.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, marketcells.cli; print('logging' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
