@@ -55,7 +55,6 @@ from .oracle import GridSpec, OwnershipMap, grid_best_response, grid_partition
 from .response import (
     BestResponse,
     best_response,
-    find_breakpoints,
     profit_curve,
     utility,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "compute_wipeout_diagnostics",
     "construct_activation",
     "emit_scenario",
-    "find_breakpoints",
     "grid_best_response",
     "grid_partition",
     "iterate_best_response",

@@ -35,8 +35,8 @@ from .geometry import (
     clip_cells,
     loop_area,
     loop_measures,
+    merge_close_vertices,
     successors,
-    window_contact,
     window_contacts,
 )
 from .model import PriceVector, Scenario
@@ -503,22 +503,6 @@ def focal_cell_2d(
     return clip_cell(scenario.positions[k], normals, offsets, scenario.window)
 
 
-def _scalar_cell(
-    scenario: Scenario, weights: np.ndarray, k: int, tie_tol: float
-) -> tuple[np.ndarray, dict[int, float], set[int], np.ndarray]:
-    """Company ``k``'s cell from the scalar clip, with the border lengths,
-    ties and edge owners :func:`_edge_attribution` finds on it."""
-    normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
-    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
-    if len(verts) < 3:
-        return verts, {}, set(), np.empty(0, dtype=np.intp)
-    ((lengths, ties, owners),) = _edge_attribution(
-        verts[None], np.array([len(verts)]), normals[None], offsets[None],
-        plane_ids[None], tie_tol,
-    )
-    return verts, lengths, ties, owners
-
-
 def _edge_attribution(
     verts: np.ndarray,
     counts: np.ndarray,
@@ -569,10 +553,11 @@ def _edge_attribution(
     return out
 
 
-# Half-planes each row of a batched clip cuts with: its nearest bisectors.
-# On jittered lattices an interior cell cuts with at most about 10, a
-# cell reaching the window edge with up to about 24; the few rows that
-# need more (0-2 per partition on 7x7 to 25x25) go to the scalar path.
+# Half-planes each row of a batched clip cuts with first: its nearest
+# bisectors.  On jittered lattices an interior cell cuts with at most
+# about 10, a cell reaching the window edge with up to about 24; the few
+# rows that need more (0-2 per partition on 7x7 to 25x25) are cut again
+# with every bisector.
 _NEAREST = 24
 
 # Rows solved together: prices of one company, or companies of one
@@ -584,35 +569,49 @@ _BLOCK = 256
 # each such array is 256 KB, so a block's working set stays near 1 MB.
 _BLOCK_ELEMENTS = 1 << 15
 
-# Why a row of a batched clip is handed to the scalar path, in the order
-# :func:`_clip_nearest` checks them.
-_FALLBACKS = ("reach", "tie", "vertex merge", "under three vertices")
-
 
 class _NearestClip(NamedTuple):
-    """Cells of a batch of rows, each cut by its nearest bisectors.
+    """Cells of a batch of rows, each the loop :func:`clip_cell` gives.
 
-    ``verts`` and ``counts`` hold the padded loops and ``area`` their
-    areas.  ``planes``, ``normals`` and ``offsets`` hold each row's
-    half-planes in cut order.  ``fallback[r]`` is ``-1`` for a row whose
-    cell is what :func:`clip_cell` and :func:`_edge_attribution` would
-    give, else the index in ``_FALLBACKS`` of the first reason it may not
-    be.
+    ``verts`` and ``counts`` hold the padded loops (count ``0``: no cell)
+    and ``area`` their areas.  ``edges[r]`` is what
+    :func:`_edge_attribution` finds on row ``r``'s cell against all its
+    bisectors (``edges`` is ``None`` without a tie tolerance).
+    ``reach`` and ``tie`` count the rows cut again with every bisector,
+    by reason, and ``merged`` the rows whose close vertices merged.
     """
 
     verts: np.ndarray
     counts: np.ndarray
     area: np.ndarray
-    planes: np.ndarray
-    normals: np.ndarray
-    offsets: np.ndarray
+    edges: list | None
     passes: int
-    fallback: np.ndarray
+    reach: int
+    tie: int
+    merged: int
 
 
 def _block_rows(companies: int) -> int:
     """Rows per batched clip block for a market of ``companies``."""
     return max(1, min(_BLOCK, _BLOCK_ELEMENTS // companies))
+
+
+def _every_bisector(
+    scenario: Scenario, weights: np.ndarray, owners: np.ndarray, own: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row ``r``'s half-planes against every company but ``owners[r]``, at
+    weight ``own[r]``, built and ordered as :func:`clip_cell` gets and
+    orders them: by boundary distance, then by company index.  Returns
+    the companies, normals, offsets and distances, one row each."""
+    rows = []
+    for k, price in zip(owners.tolist(), own.tolist()):
+        values = weights.copy()
+        values[k] = price
+        normals, offsets, planes = _cell_planes(scenario.positions, values, k)
+        t = (offsets - normals @ scenario.positions[k]) / np.hypot(*normals.T)
+        order = np.argsort(t, kind="stable")
+        rows.append((planes[order], normals[order], offsets[order], t[order]))
+    return tuple(np.stack(column) for column in zip(*rows))
 
 
 def _clip_nearest(
@@ -623,19 +622,21 @@ def _clip_nearest(
     tie_tol: float | None,
 ) -> _NearestClip:
     """Row ``r``: company ``owners[r]``'s cell at weight ``own[r]``, with
-    everyone else at ``weights``, from one :func:`clip_cells` call.
+    everyone else at ``weights``, as :func:`clip_cell` cuts it.
 
     Each row cuts with its ``_NEAREST`` nearest bisectors, taken in the
     order :func:`clip_cell` uses: by the distance of the boundary from the
-    company, then by company index.  A row is flagged for the scalar path
-    when (reach) its next bisector still lies within its farthest vertex
-    plus the clip tolerance, so the scalar clip would cut with it; (tie)
-    a bisector outside its nearest ones comes within ``tie_tol`` of a
-    vertex, where :func:`_edge_attribution` would record a tie (skipped
-    when ``tie_tol`` is ``None``); (vertex merge) two consecutive vertices
-    lie within the merge tolerance; or (under three vertices) it is cut
-    to one or two vertices.  Only ``(rows x companies)`` arrays are
-    built, never a normal per row and company.
+    company, then by company index.  A row is cut again with every
+    bisector, in that order, when (reach) its next bisector still lies
+    within its farthest vertex plus the clip tolerance, so the scalar
+    clip would cut with it, or (tie) a bisector outside its nearest ones
+    comes within ``tie_tol`` of a vertex, where :func:`_edge_attribution`
+    records a tie (skipped when ``tie_tol`` is ``None``).  Consecutive
+    vertices within the merge tolerance then merge as in
+    :func:`clip_cell`, and a row left with under three vertices holds no
+    cell.  The nearest-bisector pass builds ``(rows x companies)`` arrays
+    only, never a normal per row and company; the rows cut again hold
+    one normal per company.
     """
     positions = scenario.positions
     rows, n = len(owners), len(positions)
@@ -675,32 +676,56 @@ def _clip_nearest(
     verts, counts, reach, passes = clip_cells(
         anchors, normals, offsets, plane_dist, scenario.window
     )
-    area, lengths = loop_measures(verts, counts)
     tol = EPS_GEOM * max(1.0, scenario.window.diameter)
     cell = counts >= 3
-    reasons = [cell & (beyond < reach + tol)]
-    if tie_tol is None:
-        reasons.append(np.zeros(rows, dtype=bool))
-    else:
+    reached = cell & (beyond < reach + tol)
+    tied = np.zeros(rows, dtype=bool)
+    if tie_tol is not None:
         # Price gap of a bisector at any vertex is at least |a_j| (t_j - reach).
         floor = dist - reach[:, None]
         floor *= norms
         floor[row, planes] = np.inf
-        reasons.append(cell & np.any(floor <= tie_tol, axis=1))
-    reasons.append(cell & np.any(lengths <= tol, axis=1))
-    reasons.append((counts == 1) | (counts == 2))
-    flagged = np.array(reasons)
-    fallback = np.where(flagged.any(axis=0), np.argmax(flagged, axis=0), -1)
-    return _NearestClip(verts, counts, area, planes, normals, offsets, passes, fallback)
-
-
-def _fallback_counts(fallback: np.ndarray) -> np.ndarray:
-    """Rows flagged by :func:`_clip_nearest`, per reason."""
-    return np.bincount(fallback[fallback >= 0], minlength=len(_FALLBACKS))
-
-
-def _fallback_note(counts: np.ndarray) -> str:
-    return ", ".join(f"{c} {name}" for c, name in zip(counts.tolist(), _FALLBACKS))
+        tied = cell & ~reached & np.any(floor <= tie_tol, axis=1)
+    recut = np.flatnonzero(reached | tied)
+    if len(recut):
+        wide, wide_normals, wide_offsets, t = _every_bisector(
+            scenario, weights, owners[recut], own[recut]
+        )
+        cut, cut_counts, _, cut_passes = clip_cells(
+            anchors[recut], wide_normals, wide_offsets, t, scenario.window
+        )
+        passes += cut_passes
+        if cut.shape[1] > verts.shape[1]:
+            verts = np.concatenate(
+                [verts, np.zeros((rows, cut.shape[1] - verts.shape[1], 2))], axis=1
+            )
+        verts[recut, : cut.shape[1]] = cut
+        counts[recut] = cut_counts
+    counts[counts < 3] = 0
+    area, lengths = loop_measures(verts, counts)
+    close = (counts > 0) & np.any(lengths <= tol, axis=1)
+    # Rows cut again or merged take the scalar clip's last steps as it
+    # takes them: the merge, then the area of the merged loop.
+    settle = close.copy()
+    settle[recut] = counts[recut] > 0
+    for r in np.flatnonzero(settle).tolist():
+        loop = merge_close_vertices(verts[r, : counts[r]], tol)
+        counts[r] = len(loop) if len(loop) >= 3 else 0
+        verts[r, : counts[r]] = loop[: counts[r]]
+        area[r] = loop_area(loop) if counts[r] else 0.0
+    edges = None
+    if tie_tol is not None:
+        edges = _edge_attribution(verts, counts, normals, offsets, planes, tie_tol)
+        if len(recut):
+            found = _edge_attribution(
+                verts[recut], counts[recut], wide_normals, wide_offsets, wide, tie_tol
+            )
+            for r, attribution in zip(recut.tolist(), found):
+                edges[r] = attribution
+    return _NearestClip(
+        verts, counts, area, edges, passes,
+        int(reached.sum()), int(tied.sum()), int(close.sum()),
+    )
 
 
 def _partition_2d(
@@ -716,8 +741,7 @@ def _partition_2d(
 
     # All cells are clipped in row blocks; each surviving cell's border
     # lengths and ties come from its own boundary, matched against the
-    # half-planes that cut it.  Rows the batch cannot certify are clipped
-    # by the scalar path.
+    # half-planes that cut it.
     loops: list[np.ndarray] = []
     areas_by_index = np.zeros(n)
     contact = np.zeros(n, dtype=bool)
@@ -725,36 +749,20 @@ def _partition_2d(
     ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
     owners_by_index: dict[int, np.ndarray] = {}
     passes = 0
-    fallbacks = np.zeros(len(_FALLBACKS), dtype=np.intp)
+    notes = np.zeros(3, dtype=np.intp)
     step = _block_rows(n)
     for start in range(0, n, step):
-        owners = np.arange(start, min(n, start + step))
-        batch = _clip_nearest(scenario, weights, owners, weights[owners], tie_tol)
+        rows = np.arange(start, min(n, start + step))
+        batch = _clip_nearest(scenario, weights, rows, weights[rows], tie_tol)
         passes += batch.passes
-        fallbacks += _fallback_counts(batch.fallback)
-        area = batch.area
-        kept = (batch.fallback < 0) & (area > eps_area)
-        attributed = iter(
-            _edge_attribution(
-                batch.verts[kept], batch.counts[kept], batch.normals[kept],
-                batch.offsets[kept], batch.planes[kept], tie_tol,
-            )
-        )
+        notes += (batch.reach, batch.tie, batch.merged)
         touches = window_contacts(batch.verts, batch.counts, window)
-        for r, k in enumerate(owners.tolist()):
-            if batch.fallback[r] < 0:
-                verts = batch.verts[r, : batch.counts[r]]
-                areas_by_index[k], contact[k] = area[r], touches[r]
-                lengths, ties, owners = next(attributed) if kept[r] else ({}, set(), None)
-            else:
-                verts, lengths, ties, owners = _scalar_cell(scenario, weights, k, tie_tol)
-                areas_by_index[k] = loop_area(verts) if len(verts) >= 3 else 0.0
-                contact[k] = window_contact(verts, window)
-            loops.append(verts)
+        for r, k in enumerate(rows.tolist()):
+            loops.append(batch.verts[r, : batch.counts[r]])
+            areas_by_index[k], contact[k] = batch.area[r], touches[r]
             if areas_by_index[k] <= eps_area:
                 continue
-            ties_by_index[k] = ties
-            owners_by_index[k] = owners
+            lengths, ties_by_index[k], owners_by_index[k] = batch.edges[r]
             for j, seg in lengths.items():
                 key = (min(k, j), max(k, j))
                 if key not in border or (k < j):
@@ -763,10 +771,9 @@ def _partition_2d(
     log = _debug_logger(__name__)
     if log is not None:
         log.debug(
-            "partition: %d companies in the plane, %d rows batched, %d clip passes, "
-            "%d rows sent to the scalar clip (%s)",
-            n, n - int(fallbacks.sum()), passes, int(fallbacks.sum()),
-            _fallback_note(fallbacks),
+            "partition: %d companies in the plane, %d clip passes, %d rows re-cut "
+            "with every bisector (%d reach, %d tie), %d rows merged",
+            n, passes, int(notes[:2].sum()), *notes.tolist(),
         )
 
     surviving = (areas_by_index > eps_area).tolist()
@@ -1105,10 +1112,14 @@ def fast_signature(
         beta = scenario.beta if scenario.q == 1 else 0.0
         slope = _line_slope(x[active], beta, slot)
         return LocalSolve(float(areas[slot]), float(slope), flanks)
-    tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
-    verts, lengths, _, _ = _scalar_cell(scenario, values, k, tie_tol)
+    normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
+    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
     if len(verts) < 3:
         return LocalSolve(0.0, 0.0, None)
+    ((lengths, _, _),) = _edge_attribution(
+        verts[None], np.array([len(verts)]), normals[None], offsets[None],
+        plane_ids[None], _TIE_RTOL * max(1.0, scenario.price_upper),
+    )
     positions = scenario.positions
     slope = -sum(
         seg / (2.0 * float(np.hypot(*(positions[j] - positions[k]))))
@@ -1134,9 +1145,10 @@ def areas_for_prices(
     its boundaries ``r_a + P r_b`` (one solve with two right-hand sides),
     and in the plane the cell keeps its half-plane normals while their
     offsets shift by ``-P`` (one batched clip per block of prices, each
-    price's cell cut by its nearest half-planes).  Rows the batch cannot
-    settle the way the scalar solve would (an invasion on a line; in the
-    plane, see :func:`_clip_nearest`) are re-solved by the scalar path.
+    price's cell cut by its nearest half-planes, and again by all of them
+    where those do not settle it, see :func:`_clip_nearest`).  Rows the
+    line solve cannot settle the way the scalar solve would (an invasion)
+    are re-solved by the scalar path.
     Prices are solved in blocks of at most ``_BLOCK``.
     """
     prices = np.asarray(prices, dtype=float)
@@ -1151,14 +1163,14 @@ def areas_for_prices(
                 company_id, len(prices), sets, invaded,
             )
         return out
-    out, passes, fallbacks = _plane_areas(scenario, values, k, prices)
+    out, passes, notes = _plane_areas(scenario, values, k, prices)
     log = _debug_logger(__name__)
     if log is not None:
         log.debug(
             "areas_for_prices: company %s, %d prices in the plane, %d half-plane "
-            "passes, %d rows re-solved by the scalar path (%s)",
-            company_id, len(prices), passes, int(fallbacks.sum()),
-            _fallback_note(fallbacks),
+            "passes, %d rows re-cut with every bisector (%d reach, %d tie), "
+            "%d rows merged",
+            company_id, len(prices), passes, int(notes[:2].sum()), *notes.tolist(),
         )
     return out
 
@@ -1313,13 +1325,12 @@ def _plane_areas(
     scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """``focal_cell_2d`` areas for every price through one batched clip
-    per block of :func:`_clip_nearest` rows.  Rows it flags are re-solved
-    by :func:`fast_area`.  Returns the areas, the clip passes and the
-    re-solved rows per reason of ``_FALLBACKS``."""
-    company_id = scenario.ids[k]
+    per block of :func:`_clip_nearest` rows.  Returns the areas, the clip
+    passes and the rows re-cut with every bisector for reach, for a tie,
+    and merged."""
     out = np.zeros(len(prices))
     passes = 0
-    fallbacks = np.zeros(len(_FALLBACKS), dtype=np.intp)
+    notes = np.zeros(3, dtype=np.intp)
     step = _block_rows(len(scenario.companies))
     for start in range(0, len(prices), step):
         price_block = prices[start : start + step]
@@ -1327,14 +1338,9 @@ def _plane_areas(
             scenario, values, np.full(len(price_block), k), price_block, None
         )
         passes += batch.passes
-        fallbacks += _fallback_counts(batch.fallback)
-        area = batch.area.copy()
-        for row in np.flatnonzero(batch.fallback >= 0):
-            weights = values.copy()
-            weights[k] = price_block[row]
-            area[row] = fast_area(scenario, weights, company_id)
-        out[start : start + len(price_block)] = area
-    return out, passes, fallbacks
+        notes += (batch.reach, batch.tie, batch.merged)
+        out[start : start + len(price_block)] = batch.area
+    return out, passes, notes
 
 
 def compute_wipeout_diagnostics(

@@ -116,7 +116,6 @@ def clip_cell(
     normals: np.ndarray,
     offsets: np.ndarray,
     window: Box,
-    eps: float = EPS_GEOM,
 ) -> np.ndarray:
     """Intersect ``a_k . x <= b_k`` with the window, nearest cut first.
 
@@ -127,7 +126,7 @@ def clip_cell(
     the cell.  Equal distances cut in input order, whatever sort the
     platform's numpy dispatches.  Returns the vertex loop, possibly empty.
     """
-    scale = max(1.0, window.diameter)
+    tol = EPS_GEOM * max(1.0, window.diameter)
     verts = window.corners()
     if len(normals) == 0:
         return verts
@@ -135,12 +134,12 @@ def clip_cell(
     t = (offsets - normals @ anchor) / norms
     for idx in np.argsort(t, kind="stable"):
         rho = float(np.max(np.hypot(*(verts - anchor).T)))
-        if t[idx] >= rho + eps * scale:
+        if t[idx] >= rho + tol:
             break
         verts = clip_by_halfplane(verts, normals[idx], offsets[idx])
         if len(verts) < 3:
             return verts[:0]
-    verts = merge_close_vertices(verts, eps * scale)
+    verts = merge_close_vertices(verts, tol)
     if len(verts) < 3:
         return verts[:0]
     return verts
@@ -152,7 +151,6 @@ def clip_cells(
     offsets: np.ndarray,
     dists: np.ndarray,
     window: Box,
-    eps: float = EPS_GEOM,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """:func:`clip_cell` for many cells at once, each with its own anchor
     and its own half-planes, already in cut order.
@@ -172,14 +170,14 @@ def clip_cells(
     its anchor.
     """
     rows, planes = dists.shape
-    scale = max(1.0, window.diameter)
+    tol = EPS_GEOM * max(1.0, window.diameter)
     verts = np.tile(window.corners(), (rows, 1, 1))
     counts = np.full(rows, 4)
     live = np.arange(rows)
     passes = 0
     for i in range(planes):
         v = verts[live]
-        near = dists[live, i] < _loop_reach(v, counts[live], anchors[live]) + eps * scale
+        near = dists[live, i] < _loop_reach(v, counts[live], anchors[live]) + tol
         live, v = live[near], v[near]
         if len(live) == 0:
             break
@@ -243,11 +241,9 @@ def _clip_rows(
     return cut, cut_counts
 
 
-def window_contacts(
-    verts: np.ndarray, counts: np.ndarray, window: Box, eps: float = EPS_GEOM
-) -> np.ndarray:
+def window_contacts(verts: np.ndarray, counts: np.ndarray, window: Box) -> np.ndarray:
     """Per padded loop: True when some edge lies on the window boundary."""
-    tol = eps * max(1.0, window.diameter)
+    tol = EPS_GEOM * max(1.0, window.diameter)
     loop, following = _loops(verts, counts)
     hit = np.zeros(len(verts), dtype=bool)
     for axis in (0, 1):
@@ -257,13 +253,6 @@ def window_contacts(
             )
             hit |= np.any(loop & on, axis=1)
     return hit
-
-
-def window_contact(verts: np.ndarray, window: Box, eps: float = EPS_GEOM) -> bool:
-    """True when some polygon edge lies on the window boundary."""
-    if len(verts) == 0:
-        return False
-    return bool(window_contacts(verts[None], np.array([len(verts)]), window, eps)[0])
 
 
 def loop_measures(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,8 @@ __all__ = [
 
 DAMPING = 0.5
 MAX_FIXED_POINT_SWEEPS = 10_000
+# Most cells a grid may hold; the finest grid the tests use has about 9e6.
+MAX_GRID_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,12 @@ class GridSpec:
         for edge in self.window.edges:
             if edge / self.resolution < 0.5:
                 raise ValueError("grid resolution exceeds the window edge")
+        cells = math.prod(edge / self.resolution for edge in self.window.edges)
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid resolution {self.resolution:g} gives about {cells:.3g} cells, "
+                f"more than the {MAX_GRID_CELLS:.0e} a grid may hold"
+            )
 
     def axis_centers(self) -> list[np.ndarray]:
         out = []

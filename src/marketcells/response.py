@@ -32,14 +32,10 @@ from .model import PriceVector, Scenario
 __all__ = [
     "BestResponse",
     "best_response",
-    "find_breakpoints",
     "profit_curve",
     "utility",
 ]
 
-# Breakpoint bisection tolerance, relative to the price ceiling.
-BREAKPOINT_RTOL = 1e-10
-SIGNATURE_SCAN_SAMPLES = 512
 # The best-response walk accepts a price where |W'| is this small relative
 # to S + P |S'|, and stops at a kink or a wipe-out jump once its bracket
 # is this narrow relative to the price ceiling.
@@ -78,43 +74,6 @@ def utility(
     values = _values_with(scenario, prices, company_id, price)
     area = fast_area(scenario, values, company_id)
     return price * area, area
-
-
-def _neighbors(
-    scenario: Scenario, prices: PriceVector, company_id: int, price: float
-) -> frozenset[int] | None:
-    values = _values_with(scenario, prices, company_id, price)
-    return fast_signature(scenario, values, company_id).neighbors
-
-
-def find_breakpoints(
-    scenario: Scenario, prices: PriceVector, company_id: int
-) -> list[float]:
-    """Prices where the company's neighbor set changes.
-
-    Coarse scan over the price range followed by bisection of every
-    signature flip.  One breakpoint per flipped coarse interval; the
-    resolution of the scan bounds how close two detected breakpoints can
-    be.
-    """
-    upper = scenario.price_upper
-    eps = BREAKPOINT_RTOL * upper
-    grid = np.linspace(0.0, upper, SIGNATURE_SCAN_SAMPLES)
-    sigs = [_neighbors(scenario, prices, company_id, float(p)) for p in grid]
-    out: list[float] = []
-    for k in range(len(grid) - 1):
-        if sigs[k] == sigs[k + 1]:
-            continue
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        sig_lo = sigs[k]
-        while hi - lo > eps:
-            mid = 0.5 * (lo + hi)
-            if _neighbors(scenario, prices, company_id, mid) == sig_lo:
-                lo = mid
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from marketcells import (
     solve_partition,
     wipeout_threshold,
 )
-from marketcells.areas import _TIE_RTOL, _cell_planes, area_tolerance
+from marketcells.areas import _TIE_RTOL, _cell_planes, area_tolerance, fast_signature
 from marketcells.errors import MarketCellsError
 from marketcells.geometry import EPS_GEOM, clip_cell, loop_area
 
@@ -340,6 +340,39 @@ def random_scenario(rng: np.random.Generator, kind: str) -> Scenario:
     if kind == "plane":
         return random_plane_scenario(rng)
     raise ValueError(kind)
+
+
+# ---------------------------------------------------------------------------
+# Pieces of a profit curve
+# ---------------------------------------------------------------------------
+
+
+def neighbors_at(scenario: Scenario, prices: PriceVector, cid: int, price: float):
+    """Neighbor set of ``cid`` when it alone moves to ``price``."""
+    values = prices.with_price(scenario, cid, price).as_array()
+    return fast_signature(scenario, values, cid).neighbors
+
+
+def piece_edges(
+    scenario: Scenario, prices: PriceVector, cid: int, samples: int = 512
+) -> list[float]:
+    """Prices where the neighbor set of ``cid`` changes as it alone moves:
+    a ``samples``-point scan of ``[0, price_upper]``, each change bisected
+    to ``1e-10 x price_upper``.  One edge per changed scan interval."""
+    upper = scenario.price_upper
+    grid = np.linspace(0.0, upper, samples)
+    sets = [neighbors_at(scenario, prices, cid, float(p)) for p in grid]
+    edges = []
+    for k in np.flatnonzero([a != b for a, b in zip(sets[:-1], sets[1:])]).tolist():
+        lo, hi = float(grid[k]), float(grid[k + 1])
+        while hi - lo > 1e-10 * upper:
+            mid = 0.5 * (lo + hi)
+            if neighbors_at(scenario, prices, cid, mid) == sets[k]:
+                lo = mid
+            else:
+                hi = mid
+        edges.append(0.5 * (lo + hi))
+    return edges
 
 
 # ---------------------------------------------------------------------------

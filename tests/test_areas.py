@@ -11,6 +11,7 @@ from marketcells import (
     PriceVector,
     WindowTooSmall,
     compute_wipeout_diagnostics,
+    iterate_best_response,
     load_scenario,
     solve_areas_q0,
     solve_areas_q1_1d,
@@ -352,40 +353,49 @@ def plane_market(name):
     return jittered_lattice_2d(np.random.default_rng([1101, 4]), int(name[9:]))
 
 
-def partition_fallbacks(caplog, scn, prices):
-    """The partition at ``prices`` and the scalar-clip counts its debug
-    line reports, by reason."""
+def partition_notes(caplog, scn, prices):
+    """The partition at ``prices`` and the row counts its debug line
+    reports: rows re-cut with every bisector by reason (``reach``,
+    ``tie``) and rows whose close vertices merged (``merged``)."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
         part = solve_partition(scn, prices, check_window=False)
     (record,) = [r for r in caplog.records if r.msg.startswith("partition")]
-    counts = dict(
-        (name, int(c))
-        for c, name in (item.split(" ", 1) for item in record.args[-1].split(", "))
-    )
+    counts = dict(zip(("reach", "tie", "merged"), record.args[-3:]))
     return part, counts
 
 
 class TestBatchedPartition:
     @pytest.mark.parametrize(
         "name",
-        [f"random-{seed}" for seed in range(8)] + ["plane_lattice", "jittered-15", "jittered-25"],
+        [f"random-{seed}" for seed in range(8)]
+        + ["plane_lattice", "plane_lattice-equilibrium", "jittered-15", "jittered-25"],
     )
-    def test_matches_per_company_clip(self, name, caplog):
-        scn = plane_market(name)
+    def test_matches_per_company_clip(self, name, caplog, monkeypatch):
+        scn = plane_market(name.removesuffix("-equilibrium"))
         pv = PriceVector.from_scenario(scn)
-        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        if name.endswith("-equilibrium"):
+            # prices tie to about 1e-11, so four cells meet almost at one
+            # point and each corner splits into two vertices that merge
+            pv = iterate_best_response(scn).prices
+        clips, clip_cell = [], areas.clip_cell
+        monkeypatch.setattr(areas, "clip_cell", lambda *a: clips.append(a) or clip_cell(*a))
+        part, notes = partition_notes(caplog, scn, pv)
+        assert clips == []
         assert_same_partition(part, reference_partition_2d(scn, pv), max(1.0, scn.window.diameter))
-        assert sum(fallbacks.values()) <= 3
+        if name.endswith("-equilibrium"):
+            assert notes["merged"] >= 30
+        else:
+            assert sum(notes.values()) <= 3
 
     @pytest.mark.parametrize("name", ["random-0", "plane_lattice", "jittered-15"])
     def test_two_nearest_planes_fall_back_to_the_scalar_clip(self, name, caplog, monkeypatch):
         monkeypatch.setattr(areas, "_NEAREST", 2)
         scn = plane_market(name)
         pv = PriceVector.from_scenario(scn)
-        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        part, notes = partition_notes(caplog, scn, pv)
         assert_same_partition(part, reference_partition_2d(scn, pv), max(1.0, scn.window.diameter))
-        assert fallbacks["reach"] >= len(scn.companies) // 2
+        assert notes["reach"] >= len(scn.companies) // 2
 
     def test_tie_beyond_the_nearest_planes(self, caplog, monkeypatch):
         # Center 12 of a uniform 5x5 lattice with its four diagonal
@@ -398,9 +408,9 @@ class TestBatchedPartition:
         pv = PriceVector.from_scenario(scn)
         for cid in (6, 8, 16, 18):
             pv = pv.with_price(scn, cid, 1.0 + 3.5e-8)
-        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        part, notes = partition_notes(caplog, scn, pv)
         assert_same_partition(part, reference_partition_2d(scn, pv), scn.window.diameter)
-        assert fallbacks["tie"] >= 1
+        assert notes["tie"] >= 1
         assert part.potential_competitors[12] == {6, 8, 16, 18}
 
     def test_close_vertices_take_the_scalar_merge(self, caplog):
@@ -408,9 +418,9 @@ class TestBatchedPartition:
         # an edge far below the merge tolerance.
         scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
         pv = PriceVector.from_scenario(scn).with_price(scn, 6, 1.0 - 1e-9)
-        part, fallbacks = partition_fallbacks(caplog, scn, pv)
+        part, notes = partition_notes(caplog, scn, pv)
         assert_same_partition(part, reference_partition_2d(scn, pv), scn.window.diameter)
-        assert fallbacks["vertex merge"] >= 1
+        assert notes["merged"] >= 1
         assert len(part.cells[12]) == 4
 
     def test_peak_memory_of_a_625_company_partition(self):

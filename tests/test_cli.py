@@ -290,6 +290,16 @@ class TestOracleCheck:
         doc = json.loads(out)
         assert doc["grid_best_response"]["price"] == pytest.approx(0.625, abs=0.02)
 
+    def test_grid_over_the_cell_budget_exits_one(self, capsys):
+        # 1e-12 on the demo line asks for 1.4e13 cells: refused by name
+        # before any array is allocated
+        path = str(SCENARIOS / "line_lattice.json")
+        code, out, err = run(capsys, "oracle-check", path, "--grid-res", "1e-12")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ValueError: ") and "cells" in err
+        assert len(err.splitlines()) == 1
+
     def test_price_samples_needs_company(self, scenario_file, capsys):
         path = scenario_file(triple_q1(0.5))
         code, _, _ = run(

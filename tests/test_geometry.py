@@ -1,8 +1,9 @@
 """Cell half-planes, window clipping, polygon measures and cell borders.
 
 Every case runs the production path: ``areas._cell_planes`` builds a
-company's half-planes, ``geometry.clip_cell`` and ``window_contact`` clip
-them to the window, and ``solve_areas_q0`` measures the borders.
+company's half-planes, ``geometry.clip_cell`` clips them to the window,
+``window_contacts`` finds the cells on the window edge, and
+``solve_areas_q0`` measures the borders.
 """
 
 import math
@@ -21,7 +22,7 @@ from marketcells import (
     solve_areas_q0,
 )
 from marketcells.areas import _cell_planes
-from marketcells.geometry import clip_cell, window_contact
+from marketcells.geometry import clip_cell, window_contacts
 
 from helpers import aggregate_price, lattice_2d
 
@@ -66,6 +67,14 @@ def clip(normals, offsets, anchor=(0.0, 0.0)):
         np.asarray(offsets, dtype=float),
         WINDOW,
     )
+
+
+def touches_window(verts):
+    """``window_contacts`` of one loop, padded so that an empty loop is a
+    row with no vertices."""
+    padded = np.zeros((1, max(1, len(verts)), 2))
+    padded[0, : len(verts)] = verts
+    return bool(window_contacts(padded, np.array([len(verts)]), WINDOW)[0])
 
 
 def random_planes(rng, count, lo, hi):
@@ -141,22 +150,22 @@ class TestIntersect:
         verts = clip([(-1.0, 0.0), (1.0, 0.0), (0.0, -1.0), (0.0, 1.0)], [0.0, 1.0, 0.0, 1.0],
                      anchor=(0.5, 0.5))
         assert len(verts) == 4
-        assert not window_contact(verts, WINDOW)
+        assert not touches_window(verts)
         assert ConvexPolygon(verts).area == pytest.approx(1.0)
 
     def test_contradictory_halfplanes_empty(self):
         verts = clip([(1.0, 0.0), (-1.0, 0.0)], [0.0, -1.0])
         assert len(verts) == 0
-        assert not window_contact(verts, WINDOW)
+        assert not touches_window(verts)
 
     def test_single_halfplane_touches_window(self):
         verts = clip([(1.0, 0.0)], [0.0])
-        assert window_contact(verts, WINDOW)
+        assert touches_window(verts)
         assert ConvexPolygon(verts).area == pytest.approx(200.0)
 
     def test_no_planes_is_window(self):
         verts = clip(*NO_PLANES)
-        assert window_contact(verts, WINDOW)
+        assert touches_window(verts)
         assert ConvexPolygon(verts).area == pytest.approx(400.0)
 
     def test_membership_split(self):

@@ -1,4 +1,4 @@
-"""Profit curves, breakpoints, and best responses."""
+"""Profit curves, piece edges, and best responses."""
 
 import logging
 from pathlib import Path
@@ -17,7 +17,6 @@ from marketcells import (
     Scenario,
     ValidationError,
     best_response,
-    find_breakpoints,
     grid_best_response,
     iterate_best_response,
     load_scenario,
@@ -30,6 +29,8 @@ from marketcells.response import unimodality_defect
 from helpers import (
     lattice_2d,
     line_scenario,
+    neighbors_at,
+    piece_edges,
     random_line_scenario,
     random_plane_scenario,
     random_scenario,
@@ -37,12 +38,6 @@ from helpers import (
 )
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-
-
-def neighbors_at(scn, pv, cid, price):
-    """Neighbor set of ``cid`` when it alone moves to ``price``."""
-    values = pv.with_price(scn, cid, price).as_array()
-    return fast_signature(scn, values, cid).neighbors
 
 
 def flank_scenario(price_upper=4.0):
@@ -81,45 +76,13 @@ class TestUtility:
 
 
 class TestBreakpoints:
-    def test_interior_line_company_has_none_below_choke(self):
-        scn = flank_scenario(price_upper=1.5)
-        assert find_breakpoints(scn, PriceVector.from_scenario(scn), 1) == []
-
-    def test_choke_price_is_a_breakpoint(self):
-        scn = flank_scenario(price_upper=4.0)
-        cuts = find_breakpoints(scn, PriceVector.from_scenario(scn), 1)
-        assert len(cuts) == 1
-        assert cuts[0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_wiped_out_company_has_none(self):
-        scn = triple_q1(1.2, prices=(0.2, 1.0, 0.2))
-        assert find_breakpoints(scn, PriceVector.from_scenario(scn), 1) == []
-
     def test_lattice_corner_engagement(self):
         # below the symmetric price the cell swallows its corners and the
         # diagonal companies become real neighbors
         scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
         pv = PriceVector.from_scenario(scn)
-        cuts = find_breakpoints(scn, pv, 12)
-        assert any(abs(c - 1.0) < 1e-6 for c in cuts)
-        edges = [0.0, *cuts, scn.price_upper]
-        mids = [0.5 * (lo + hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        below = [m for m in mids if 0.5 < m < 0.99]
-        above = [m for m in mids if 1.01 < m < 1.5]
-        if below and above:
-            assert len(neighbors_at(scn, pv, 12, below[-1])) == 8
-            assert len(neighbors_at(scn, pv, 12, above[0])) == 4
-
-    def test_pieces_partition_the_range(self):
-        scn = flank_scenario()
-        pv = PriceVector.from_scenario(scn)
-        edges = [0.0, *find_breakpoints(scn, pv, 1), scn.price_upper]
-        assert all(a < b for a, b in zip(edges[:-1], edges[1:]))
-        sigs = [
-            neighbors_at(scn, pv, 1, 0.5 * (lo + hi))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        assert sigs == [frozenset({0, 2}), None]
+        assert len(neighbors_at(scn, pv, 12, 0.99)) == 8
+        assert len(neighbors_at(scn, pv, 12, 1.01)) == 4
 
     def test_profit_continuous_across_breakpoints(self):
         rng = np.random.default_rng(31)
@@ -135,7 +98,7 @@ class TestBreakpoints:
             _, profits = profit_curve(scn, pv, cid, samples=2_000)
             w_scale = max(profits.max(), 1e-9)
             delta = 1e-10 * scn.price_upper
-            for cut in find_breakpoints(scn, pv, cid):
+            for cut in piece_edges(scn, pv, cid):
                 if cut < 2 * delta or cut > scn.price_upper - 2 * delta:
                     continue
                 w_lo, _ = utility(scn, pv, cid, cut - delta)
@@ -290,7 +253,7 @@ class TestBestResponse:
         scn = random_line_scenario(rng, q=1)
         pv = PriceVector.from_scenario(scn)
         cid = next(c.id for c in scn.companies if not c.frozen)
-        edges = [0.0, *find_breakpoints(scn, pv, cid), scn.price_upper]
+        edges = [0.0, *piece_edges(scn, pv, cid), scn.price_upper]
         enumerated = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
@@ -420,9 +383,9 @@ class TestCurveSolveCount:
         with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
             profit_curve(scn, PriceVector.from_scenario(scn), 12, samples=samples)
         (record,) = caplog.records
-        resolved = record.args[3]
-        assert clips["n"] == resolved
-        assert resolved == (1 if samples == 4_001 else 0)
+        merged = record.args[-1]
+        assert clips["n"] == 0
+        assert merged == (1 if samples == 4_001 else 0)
 
 
 class TestDerivative:
