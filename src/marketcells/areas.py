@@ -39,7 +39,7 @@ from .geometry import (
     successors,
     window_contacts,
 )
-from .model import PriceVector, Scenario
+from .model import Box, PriceVector, Scenario
 
 __all__ = [
     "MarketPartition",
@@ -195,10 +195,7 @@ def _line_boundaries(
     rhs = c.copy()
     rhs[0] -= beta * lo
     rhs[-1] -= beta * hi
-    # A consistent rank-deficient system has a whole family of partitions;
-    # conditioning only explodes within rounding distance of exact
-    # degeneracy, so this trips nothing else.
-    if np.linalg.cond(A) > 1e12:
+    if singular_boundaries(A):
         raise SingularSystem(_singular_message(x, beta))
     try:
         r = np.linalg.solve(A, rhs)
@@ -219,6 +216,16 @@ def _boundary_matrix(d: np.ndarray, beta: float) -> np.ndarray:
     A[k, k + 1] = beta
     A[k + 1, k] = beta
     return A
+
+
+def singular_boundaries(A: np.ndarray) -> bool:
+    """Whether the boundary system ``A`` is singular to working precision.
+
+    A consistent rank-deficient system has a whole family of partitions;
+    conditioning only explodes within rounding distance of exact
+    degeneracy, so this trips nothing else.
+    """
+    return bool(np.linalg.cond(A) > 1e12)
 
 
 def _line_slope(x: np.ndarray, beta: float, slot: int) -> float:
@@ -560,9 +567,10 @@ def _edge_attribution(
 # with every bisector.
 _NEAREST = 24
 
-# Rows solved together: prices of one company, or companies of one
-# partition.  Blocks of 1,024 prices raised the peak resident memory of
-# the benchmark's 10,000-price audits by about 2 MB.
+# Rows solved together, at most: companies of one partition in a batched
+# clip, or prices of one curve on a line.  Blocks of 1,024 prices raised
+# the peak resident memory of the benchmark's 10,000-price audits by
+# about 2 MB.
 _BLOCK = 256
 
 # Elements of the (rows x companies) arrays a batched clip block holds;
@@ -576,7 +584,7 @@ class _NearestClip(NamedTuple):
     ``verts`` and ``counts`` hold the padded loops (count ``0``: no cell)
     and ``area`` their areas.  ``edges[r]`` is what
     :func:`_edge_attribution` finds on row ``r``'s cell against all its
-    bisectors (``edges`` is ``None`` without a tie tolerance).
+    bisectors.
     ``reach`` and ``tie`` count the rows cut again with every bisector,
     by reason, and ``merged`` the rows whose close vertices merged.
     """
@@ -584,7 +592,7 @@ class _NearestClip(NamedTuple):
     verts: np.ndarray
     counts: np.ndarray
     area: np.ndarray
-    edges: list | None
+    edges: list
     passes: int
     reach: int
     tie: int
@@ -597,17 +605,15 @@ def _block_rows(companies: int) -> int:
 
 
 def _every_bisector(
-    scenario: Scenario, weights: np.ndarray, owners: np.ndarray, own: np.ndarray
+    scenario: Scenario, weights: np.ndarray, owners: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row ``r``'s half-planes against every company but ``owners[r]``, at
-    weight ``own[r]``, built and ordered as :func:`clip_cell` gets and
-    orders them: by boundary distance, then by company index.  Returns
-    the companies, normals, offsets and distances, one row each."""
+    """Row ``r``'s half-planes against every company but ``owners[r]``,
+    built and ordered as :func:`clip_cell` gets and orders them: by
+    boundary distance, then by company index.  Returns the companies,
+    normals, offsets and distances, one row each."""
     rows = []
-    for k, price in zip(owners.tolist(), own.tolist()):
-        values = weights.copy()
-        values[k] = price
-        normals, offsets, planes = _cell_planes(scenario.positions, values, k)
+    for k in owners.tolist():
+        normals, offsets, planes = _cell_planes(scenario.positions, weights, k)
         t = (offsets - normals @ scenario.positions[k]) / np.hypot(*normals.T)
         order = np.argsort(t, kind="stable")
         rows.append((planes[order], normals[order], offsets[order], t[order]))
@@ -618,11 +624,10 @@ def _clip_nearest(
     scenario: Scenario,
     weights: np.ndarray,
     owners: np.ndarray,
-    own: np.ndarray,
-    tie_tol: float | None,
+    tie_tol: float,
 ) -> _NearestClip:
-    """Row ``r``: company ``owners[r]``'s cell at weight ``own[r]``, with
-    everyone else at ``weights``, as :func:`clip_cell` cuts it.
+    """Row ``r``: company ``owners[r]``'s cell in the partition at
+    ``weights``, as :func:`clip_cell` cuts it.
 
     Each row cuts with its ``_NEAREST`` nearest bisectors, taken in the
     order :func:`clip_cell` uses: by the distance of the boundary from the
@@ -631,16 +636,16 @@ def _clip_nearest(
     within its farthest vertex plus the clip tolerance, so the scalar
     clip would cut with it, or (tie) a bisector outside its nearest ones
     comes within ``tie_tol`` of a vertex, where :func:`_edge_attribution`
-    records a tie (skipped when ``tie_tol`` is ``None``).  Consecutive
-    vertices within the merge tolerance then merge as in
-    :func:`clip_cell`, and a row left with under three vertices holds no
-    cell.  The nearest-bisector pass builds ``(rows x companies)`` arrays
+    records a tie.  Consecutive vertices within the merge tolerance then
+    merge as in :func:`clip_cell`, and a row left with under three
+    vertices holds no cell.  The nearest-bisector pass builds ``(rows x companies)`` arrays
     only, never a normal per row and company; the rows cut again hold
     one normal per company.
     """
     positions = scenario.positions
     rows, n = len(owners), len(positions)
     anchors = positions[owners]
+    own = weights[owners]
     index = np.arange(rows)
     # Boundary of company j's bisector at distance (w_j - w_k + d^2) / 2d,
     # computed in place: three (rows x companies) arrays at most.
@@ -679,17 +684,15 @@ def _clip_nearest(
     tol = EPS_GEOM * max(1.0, scenario.window.diameter)
     cell = counts >= 3
     reached = cell & (beyond < reach + tol)
-    tied = np.zeros(rows, dtype=bool)
-    if tie_tol is not None:
-        # Price gap of a bisector at any vertex is at least |a_j| (t_j - reach).
-        floor = dist - reach[:, None]
-        floor *= norms
-        floor[row, planes] = np.inf
-        tied = cell & ~reached & np.any(floor <= tie_tol, axis=1)
+    # Price gap of a bisector at any vertex is at least |a_j| (t_j - reach).
+    floor = dist - reach[:, None]
+    floor *= norms
+    floor[row, planes] = np.inf
+    tied = cell & ~reached & np.any(floor <= tie_tol, axis=1)
     recut = np.flatnonzero(reached | tied)
     if len(recut):
         wide, wide_normals, wide_offsets, t = _every_bisector(
-            scenario, weights, owners[recut], own[recut]
+            scenario, weights, owners[recut]
         )
         cut, cut_counts, _, cut_passes = clip_cells(
             anchors[recut], wide_normals, wide_offsets, t, scenario.window
@@ -713,15 +716,13 @@ def _clip_nearest(
         counts[r] = len(loop) if len(loop) >= 3 else 0
         verts[r, : counts[r]] = loop[: counts[r]]
         area[r] = loop_area(loop) if counts[r] else 0.0
-    edges = None
-    if tie_tol is not None:
-        edges = _edge_attribution(verts, counts, normals, offsets, planes, tie_tol)
-        if len(recut):
-            found = _edge_attribution(
-                verts[recut], counts[recut], wide_normals, wide_offsets, wide, tie_tol
-            )
-            for r, attribution in zip(recut.tolist(), found):
-                edges[r] = attribution
+    edges = _edge_attribution(verts, counts, normals, offsets, planes, tie_tol)
+    if len(recut):
+        found = _edge_attribution(
+            verts[recut], counts[recut], wide_normals, wide_offsets, wide, tie_tol
+        )
+        for r, attribution in zip(recut.tolist(), found):
+            edges[r] = attribution
     return _NearestClip(
         verts, counts, area, edges, passes,
         int(reached.sum()), int(tied.sum()), int(close.sum()),
@@ -753,7 +754,7 @@ def _partition_2d(
     step = _block_rows(n)
     for start in range(0, n, step):
         rows = np.arange(start, min(n, start + step))
-        batch = _clip_nearest(scenario, weights, rows, weights[rows], tie_tol)
+        batch = _clip_nearest(scenario, weights, rows, tie_tol)
         passes += batch.passes
         notes += (batch.reach, batch.tie, batch.merged)
         touches = window_contacts(batch.verts, batch.counts, window)
@@ -1141,15 +1142,14 @@ def areas_for_prices(
     """:func:`fast_area` of one company at every price in ``prices``.
 
     Everyone else keeps their ``values`` entry.  Only the company's own
-    price moves, so on a line all prices that share a survivor set share
+    price moves.  On a line all prices that share a survivor set share
     its boundaries ``r_a + P r_b`` (one solve with two right-hand sides),
-    and in the plane the cell keeps its half-plane normals while their
-    offsets shift by ``-P`` (one batched clip per block of prices, each
-    price's cell cut by its nearest half-planes, and again by all of them
-    where those do not settle it, see :func:`_clip_nearest`).  Rows the
-    line solve cannot settle the way the scalar solve would (an invasion)
-    are re-solved by the scalar path.
-    Prices are solved in blocks of at most ``_BLOCK``.
+    in blocks of at most ``_BLOCK`` prices; rows the line solve cannot
+    settle the way the scalar solve would (an invasion) are re-solved by
+    the scalar path.  In the plane the cell keeps its half-plane normals
+    while their offsets shift by ``-P``, so its area is quadratic in ``P``
+    between changes of its edges: the prices are walked upwards with one
+    :func:`clip_cell` per such piece (:func:`_plane_curve`).
     """
     prices = np.asarray(prices, dtype=float)
     k = scenario.index_of[company_id]
@@ -1163,14 +1163,13 @@ def areas_for_prices(
                 company_id, len(prices), sets, invaded,
             )
         return out
-    out, passes, notes = _plane_areas(scenario, values, k, prices)
+    out, pieces = _plane_curve(scenario, values, k, prices)
     log = _debug_logger(__name__)
     if log is not None:
         log.debug(
-            "areas_for_prices: company %s, %d prices in the plane, %d half-plane "
-            "passes, %d rows re-cut with every bisector (%d reach, %d tie), "
-            "%d rows merged",
-            company_id, len(prices), passes, int(notes[:2].sum()), *notes.tolist(),
+            "areas_for_prices: company %s, %d prices in the plane, %d pieces "
+            "(one cell clip each)",
+            company_id, len(prices), pieces,
         )
     return out
 
@@ -1200,7 +1199,7 @@ def _boundary_pencil(
     rhs[0, 0] -= beta * lo
     rhs[-1, 0] -= beta * hi
     A = _boundary_matrix(d, beta)
-    if np.linalg.cond(A) > 1e12:
+    if singular_boundaries(A):
         raise SingularSystem(_singular_message(x, beta))
     try:
         r = np.linalg.solve(A, rhs)
@@ -1321,26 +1320,94 @@ def _line_areas(
     return out, len(pencils), invaded_rows
 
 
-def _plane_areas(
+# The window's sides as half-planes ``a . x <= b``: x >= lo, x <= hi, y >= lo,
+# y <= hi.  Their offsets do not move with any price.
+_WINDOW_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+
+
+def _plane_piece(
+    verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, window: Box
+) -> tuple[float, float, float]:
+    """Area change ``A1 u + A2 u^2`` of the cell ``verts`` while its
+    company's price rises by ``u``, and the largest ``u`` that model holds.
+
+    Each edge lies on the bisector or window side nearest both its ends.
+    Bisector offsets fall by ``u`` and window sides stay, so the vertex
+    on the lines of its two edges moves by ``u dv`` with ``M dv = dh``,
+    and the shoelace area of ``v + u dv`` is quadratic in ``u``.  The
+    piece ends where an edge shrinks to length 0 or a line that carries
+    no edge reaches a vertex; where two edges' lines are parallel it ends
+    at once.
+    """
+    lines = np.vstack([normals, _WINDOW_NORMALS])
+    (x0, y0), (x1, y1) = window.lo, window.hi
+    heights = np.concatenate([offsets, [-x0, x1, -y0, y1]])
+    rates = np.concatenate([np.full(len(offsets), -1.0), np.zeros(4)])
+    norms = np.hypot(lines[:, 0], lines[:, 1])
+    gaps = (heights - verts @ lines.T) / norms
+    # edge i runs from vertex i to vertex i + 1
+    edge = np.argmin(np.abs(gaps) + np.abs(np.roll(gaps, -1, axis=0)), axis=1)
+    before = np.roll(edge, 1)
+    a, b = lines[before], lines[edge]
+    det = _cross(a, b)
+    if np.any(np.abs(det) <= EPS_GEOM * norms[before] * norms[edge]):
+        return 0.0, 0.0, 0.0
+    ra, rb = rates[before], rates[edge]
+    dv = np.stack([b[:, 1] * ra - a[:, 1] * rb, a[:, 0] * rb - b[:, 0] * ra], axis=1)
+    dv /= det[:, None]
+    v = verts - verts[0]
+    v_next, dv_next = np.roll(v, -1, axis=0), np.roll(dv, -1, axis=0)
+    slope = 0.5 * float(np.sum(_cross(v, dv_next)) + np.sum(_cross(dv, v_next)))
+    curvature = 0.5 * float(np.sum(_cross(dv, dv_next)))
+    side, dside = v_next - v, dv_next - dv
+    shrink = np.sum(side * dside, axis=1)
+    shrinking = shrink < 0.0
+    ends = [-np.sum(side * side, axis=1)[shrinking] / shrink[shrinking]]
+    closing = (rates - dv @ lines.T) / norms
+    closing[:, edge] = 0.0
+    near = closing < 0.0
+    ends.append(np.maximum(gaps[near], 0.0) / -closing[near])
+    return slope, curvature, float(np.min(np.concatenate(ends), initial=np.inf))
+
+
+def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise 2D cross product ``p x q``."""
+    return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+
+
+def _plane_curve(
     scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """``focal_cell_2d`` areas for every price through one batched clip
-    per block of :func:`_clip_nearest` rows.  Returns the areas, the clip
-    passes and the rows re-cut with every bisector for reach, for a tie,
-    and merged."""
-    out = np.zeros(len(prices))
-    passes = 0
-    notes = np.zeros(3, dtype=np.intp)
-    step = _block_rows(len(scenario.companies))
-    for start in range(0, len(prices), step):
-        price_block = prices[start : start + step]
-        batch = _clip_nearest(
-            scenario, values, np.full(len(price_block), k), price_block, None
-        )
-        passes += batch.passes
-        notes += (batch.reach, batch.tie, batch.merged)
-        out[start : start + len(price_block)] = batch.area
-    return out, passes, notes
+) -> tuple[np.ndarray, int]:
+    """:func:`fast_area` of company ``k`` at every price, walking the
+    prices upwards piece by piece.  Returns the areas and the pieces.
+
+    Each piece starts with the one-cell clip :func:`fast_area` makes,
+    so its first price's area is that clip's to the bit; the prices up
+    to the piece's end (:func:`_plane_piece`) take the piece's quadratic.
+    With ``q = 0`` an area never grows with its own price, so once the
+    cell is gone every higher price holds no market either.
+    """
+    order = np.argsort(prices, kind="stable")
+    walk = prices[order]
+    areas = np.zeros(len(walk))
+    values = np.array(values, dtype=float)
+    i = pieces = 0
+    while i < len(walk):
+        values[k] = walk[i]
+        normals, offsets, _ = _cell_planes(scenario.positions, values, k)
+        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+        pieces += 1
+        if len(verts) < 3:
+            break
+        areas[i] = loop_area(verts)
+        slope, curvature, reach = _plane_piece(verts, normals, offsets, scenario.window)
+        end = max(i + 1, int(np.searchsorted(walk, walk[i] + reach, side="right")))
+        u = walk[i + 1 : end] - walk[i]
+        areas[i + 1 : end] = np.maximum(areas[i] + u * (slope + u * curvature), 0.0)
+        i = end
+    out = np.empty(len(walk))
+    out[order] = areas
+    return out, pieces
 
 
 def compute_wipeout_diagnostics(

@@ -297,7 +297,9 @@ def _rebase(scenario: Scenario, prices: PriceVector) -> PriceVector:
 def _cmd_oracle_check(args) -> int:
     scenario = _read_scenario(args.scenario)
     prices = PriceVector.from_scenario(scenario)
-    res = args.grid_res or max(scenario.window.edges) * 1e-3
+    res = args.grid_res
+    if res is None:
+        res = max(scenario.window.edges) * 1e-3
     grid = GridSpec(res, scenario.window)
     part = solve_partition(scenario, prices)
     _, grid_areas = grid_partition(scenario, prices, grid)

@@ -25,16 +25,19 @@ import numpy as np
 from .areas import (
     MarketPartition,
     WipeoutDiagnostics,
+    _boundary_matrix,
     _debug_logger,
+    _solve_sorted_line,
     area_jacobian,
     area_tolerance,
     fast_signature,
     line_layout,
     line_thresholds,
+    singular_boundaries,
     solve_areas_q1_1d,
     solve_partition,
 )
-from .errors import MarketCellsError, NoValidScheme, ValidationError
+from .errors import MarketCellsError, NoValidScheme, SingularSystem, ValidationError
 from .model import PriceVector, Scenario
 from .response import best_response, profit_curve, utility
 
@@ -129,13 +132,27 @@ def _sorted_by_position(scenario: Scenario, ids) -> list[int]:
 
 def _violators(scenario: Scenario, active: set[int]) -> dict[int, float]:
     """Non-frozen active companies packed tighter than their wipe-out
-    threshold against their nearest active flanks, with that threshold."""
+    threshold against their nearest active flanks, with that threshold.
+
+    A company also violates, whatever its threshold, where the line solve
+    could not place its boundaries: when the boundary system of the
+    active set is singular, or the boundary with an adjacent active
+    company (frozen ones included) is singular on its own, a zero
+    diagonal ``2 (d - beta)``.
+    """
     ordered = _sorted_by_position(scenario, active)
     x = np.array([scenario.company(cid).position[0] for cid in ordered])
+    singular = np.zeros(len(ordered), dtype=bool)
+    if len(ordered) > 1:
+        A = _boundary_matrix(np.diff(x), scenario.beta)
+        pair = np.diag(A) == 0.0
+        singular[:-1] |= pair
+        singular[1:] |= pair
+        singular |= singular_boundaries(A)
     return {
         cid: thr
-        for cid, thr in zip(ordered, line_thresholds(x))
-        if scenario.beta >= thr and not scenario.company(cid).frozen
+        for cid, thr, stuck in zip(ordered, line_thresholds(x), singular)
+        if (scenario.beta >= thr or stuck) and not scenario.company(cid).frozen
     }
 
 
@@ -149,7 +166,8 @@ def construct_activation(scenario: Scenario) -> ActivationScheme:
     while some hidden company could itself stand the market, it replaces
     an activated company that could not, until every hidden company
     fails its own condition.  Swap-limited; exceeding the budget raises
-    :class:`NoValidScheme`.
+    :class:`NoValidScheme`, and so does a scheme whose market, hidden
+    companies at the ceiling, has a singular boundary system.
     """
     if scenario.q != 1 or scenario.dimension != 1:
         raise ValidationError("activation construction applies to 1D brand-feedback markets")
@@ -184,6 +202,13 @@ def construct_activation(scenario: Scenario) -> ActivationScheme:
     else:
         raise NoValidScheme("activation swaps exceeded their budget")
 
+    values = np.array(
+        [scenario.price_upper if c.id in hidden else c.price for c in scenario.companies]
+    )
+    try:
+        _solve_sorted_line(scenario, values)
+    except SingularSystem as exc:
+        raise NoValidScheme(f"the market of the activation scheme does not solve: {exc}") from exc
     return ActivationScheme(
         activated=tuple(_sorted_by_position(scenario, active)),
         hidden=frozenset(hidden),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from marketcells import (
+    Box,
     PriceVector,
     WindowTooSmall,
     compute_wipeout_diagnostics,
@@ -297,6 +298,17 @@ class TestDegeneracies:
         scn = triple_q1(2.0 / 3.0)
         with pytest.raises(SingularSystem, match="threshold"):
             solve_areas_q1_1d(scn, PriceVector.from_scenario(scn))
+
+    def test_curve_piece_ends_at_a_straight_vertex(self):
+        # a vertex whose two edges lie on one line has no velocity of its
+        # own, so the piece of the profit curve ends at once and the next
+        # price clips its cell again
+        window = Box((0.0, 0.0), (2.0, 2.0))
+        square = window.corners()
+        straight = np.insert(square, 1, [1.0, 0.0], axis=0)
+        none = (np.zeros((0, 2)), np.zeros(0), window)
+        assert areas._plane_piece(square, *none) == (0.0, 0.0, np.inf)
+        assert areas._plane_piece(straight, *none) == (0.0, 0.0, 0.0)
 
 
 class TestPotentialCompetitors:

@@ -300,6 +300,15 @@ class TestOracleCheck:
         assert err.startswith("ValueError: ") and "cells" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("res", ["0", "-1", "nan"])
+    def test_grid_resolution_must_be_positive(self, capsys, res):
+        # 0 once fell back to the default resolution
+        path = str(SCENARIOS / "line_lattice.json")
+        code, out, err = run(capsys, "oracle-check", path, f"--grid-res={res}")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "ValueError: grid resolution must be positive"
+
     def test_price_samples_needs_company(self, scenario_file, capsys):
         path = scenario_file(triple_q1(0.5))
         code, _, _ = run(

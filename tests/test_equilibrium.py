@@ -2,6 +2,7 @@
 
 import json
 import logging
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,28 @@ class TestActivation:
         scheme = construct_activation(triple_q1(1.2))
         assert scheme.hidden == {1}
         assert scheme.activated == (0, 2)
+
+    def test_singular_boundaries_are_refused_in_time(self):
+        # Unit spacing at beta = 2 once activated (0, 2, 6): the pair (0, 2)
+        # has a zero boundary diagonal, and the first best response raised
+        # SingularSystem.  The system of (0, 3, 6) is singular as a whole.
+        scn = line_scenario(range(7), [1.0] * 7, beta=2.0, q=1, price_upper=5.0, margin=0.5)
+        assert set(eq_mod._violators(scn, {0, 2, 6})) == {2}
+        assert set(eq_mod._violators(scn, {0, 3, 6})) == {3}
+
+        def expire(signum, frame):
+            raise TimeoutError("no answer within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(NoValidScheme, match="does not solve"):
+                construct_activation(scn)
+            with pytest.raises(NoValidScheme, match="does not solve"):
+                iterate_best_response(scn)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_single_company_is_activated(self):
         scn = line_scenario([0.0], [1.0], frozen=[True], beta=0.7, q=1, margin=1.0)

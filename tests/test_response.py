@@ -145,22 +145,38 @@ def ring_market_18():
     )
 
 
+def plane_lattice_equilibrium():
+    """The ``plane_lattice`` demo at its equilibrium, where prices tie to
+    about 1e-11: four cells meet almost at one point, corners merge and
+    the curves' pieces start and end at once."""
+    scn = load_scenario((DEMOS / "plane_lattice.json").read_text())
+    return scn, iterate_best_response(scn).prices
+
+
 def curve_market(name):
-    """A random helpers market by kind, or ``triple-<beta>``: the demo
-    triple, whose curves cross threshold elimination and rows sent to the
-    damped fallback."""
+    """A market and its prices by name: a random helpers market by kind at
+    its own prices, ``triple-<beta>``: the demo triple, whose curves cross
+    threshold elimination and rows sent to the damped fallback, or
+    ``plane_lattice-equilibrium``."""
+    if name == "plane_lattice-equilibrium":
+        return plane_lattice_equilibrium()
     if name.startswith("triple-"):
-        return brand_triple(float(name.removeprefix("triple-")))
-    return random_scenario(np.random.default_rng(sum(map(ord, name))), name)
+        scn = brand_triple(float(name.removeprefix("triple-")))
+    else:
+        scn = random_scenario(np.random.default_rng(sum(map(ord, name))), name)
+    return scn, PriceVector.from_scenario(scn)
 
 
 class TestProfitCurve:
     @pytest.mark.parametrize(
-        "market", ["line", "line_q1", "plane", "triple-0.3", "triple-0.9", "triple-1.2"]
+        "market",
+        [
+            "line", "line_q1", "plane", "triple-0.3", "triple-0.9", "triple-1.2",
+            "plane_lattice-equilibrium",
+        ],
     )
     def test_exact_at_every_sample(self, market):
-        scn = curve_market(market)
-        pv = PriceVector.from_scenario(scn)
+        scn, pv = curve_market(market)
         for c in scn.companies:
             if c.frozen:
                 continue
@@ -170,6 +186,31 @@ class TestProfitCurve:
             assert np.max(np.abs(batch - scalar)) <= 1e-12 * scalar.max()
             _, profits = profit_curve(scn, pv, c.id, samples=1_000)
             assert np.array_equal(profits, grid * batch)
+
+    def test_exact_where_a_border_enters_through_the_window(self):
+        # A cell only loses borders as its own price rises, unless the
+        # window hid one: company 2's border with company 0 lies beyond the
+        # window's top until price 2.11, then cuts in at the vertex where
+        # the top meets the border with company 1.
+        scn = Scenario(
+            dimension=2,
+            beta=0.0,
+            q=0,
+            companies=(
+                Company(0, (1.0, 1.0), 1.0, False),
+                Company(1, (3.0, 1.2), 1.0, True),
+                Company(2, (1.6, 1.9), 3.5, True),
+            ),
+            focal_box_half=6.0,
+            price_upper=4.0,
+            window=Box((0.0, 0.0), (4.0, 2.0)),
+        )
+        pv = PriceVector.from_scenario(scn)
+        assert [neighbors_at(scn, pv, 0, p) for p in (2.0, 2.2)] == [{1}, {1, 2}]
+        grid = np.linspace(0.0, scn.price_upper, 1_000)
+        batch = areas_for_prices(scn, pv.as_array(), 0, grid)
+        scalar = np.array([utility(scn, pv, 0, float(p))[1] for p in grid])
+        assert np.max(np.abs(batch - scalar)) <= 1e-12 * scalar.max()
 
     def test_ring_market_curve_is_unimodal(self):
         scn = ring_market_18()
@@ -345,8 +386,8 @@ class TestSolveCount:
 
 class TestCurveSolveCount:
     """A dense profit curve solves each survivor set once on a line and
-    clips every price together in the plane, counted by monkeypatching
-    the area module's solvers."""
+    clips one cell per piece in the plane, counted by monkeypatching the
+    area module's solvers."""
 
     def test_brand_line_boundary_solves(self, monkeypatch):
         solves = {"n": 0}
@@ -367,25 +408,63 @@ class TestCurveSolveCount:
             profit_curve(scn, pv, c.id, samples=10_000)
             assert 1 <= solves["n"] <= 30
 
-    @pytest.mark.parametrize("samples", [4_001, 10_000])
-    def test_plane_scalar_clips_only_for_fallback_rows(self, monkeypatch, caplog, samples):
-        clips = {"n": 0}
+    @pytest.fixture
+    def clipped(self, monkeypatch):
+        """Own prices of the cells the area module builds half-planes for,
+        one per clip, and the count of ``clip_cell`` calls."""
+        clipped = {"prices": [], "clips": 0}
+        cell_planes, clip_cell = areas._cell_planes, areas.clip_cell
 
-        def counted(*args):
-            clips["n"] += 1
+        def planes(positions, weights, k):
+            clipped["prices"].append(float(weights[k]))
+            return cell_planes(positions, weights, k)
+
+        def clip(*args):
+            clipped["clips"] += 1
             return clip_cell(*args)
 
-        clip_cell = areas.clip_cell
-        monkeypatch.setattr(areas, "clip_cell", counted)
+        monkeypatch.setattr(areas, "_cell_planes", planes)
+        monkeypatch.setattr(areas, "clip_cell", clip)
+        return clipped
+
+    @pytest.mark.parametrize("samples", [4_001, 10_000])
+    def test_plane_clips_once_per_piece(self, clipped, caplog, samples):
         # at 4,001 samples the grid holds price 1, where the center cell's
         # corners meet four cells at once and its vertices merge
         scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
+        pv = PriceVector.from_scenario(scn)
         with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
-            profit_curve(scn, PriceVector.from_scenario(scn), 12, samples=samples)
+            grid, profits = profit_curve(scn, pv, 12, samples=samples)
         (record,) = caplog.records
-        merged = record.args[-1]
-        assert clips["n"] == 0
-        assert merged == (1 if samples == 4_001 else 0)
+        assert 1 <= clipped["clips"] == record.args[-1] <= 4
+        assert (1.0 in grid.tolist()) == (samples == 4_001)
+        scalar = np.array([utility(scn, pv, 12, float(p))[0] for p in grid])
+        assert np.max(np.abs(profits - scalar)) <= 1e-12 * scalar.max()
+
+    @pytest.mark.parametrize("market", ["ring_market_18", "plane_lattice-equilibrium"])
+    def test_clips_again_after_every_piece_edge(self, clipped, market):
+        # piece edges from a dense neighbor-set scan, not from the walk
+        if market == "ring_market_18":
+            scn = ring_market_18()
+            pv = PriceVector.from_scenario(scn)
+        else:
+            scn, pv = plane_lattice_equilibrium()
+        grid = np.linspace(0.0, scn.price_upper, 10_000)
+        # the scan places an edge within 1e-10 x price_upper
+        slack = 1e-9 * scn.price_upper
+        edges_seen = 0
+        for c in scn.companies:
+            if c.frozen:
+                continue
+            edges = piece_edges(scn, pv, c.id)
+            clipped["prices"].clear()
+            areas_for_prices(scn, pv.as_array(), c.id, grid)
+            starts = np.array(clipped["prices"])
+            for edge in edges:
+                after = grid[min(np.searchsorted(grid, edge, side="right"), len(grid) - 1)]
+                assert np.any((starts > edge - slack) & (starts <= after)), edge
+            edges_seen += len(edges)
+        assert edges_seen >= 10
 
 
 class TestDerivative:
