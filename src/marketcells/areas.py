@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -179,30 +179,40 @@ def line_thresholds(x: np.ndarray) -> np.ndarray:
 
 
 def _line_boundaries(
-    x: np.ndarray, p: np.ndarray, beta: float, lo: float, hi: float
+    x: np.ndarray, p: np.ndarray, beta: float, lo: float, hi: float, slot: int | None
 ) -> np.ndarray:
-    """Interior boundaries of consecutive active companies.
+    """Interior boundaries of consecutive active companies, and their
+    change per unit price of the one at ``slot`` (``None``: none moves),
+    as two columns.
 
     Solves ``2 d_k R_k = p_{k+1} - p_k + x_{k+1}^2 - x_k^2 + beta (S_k -
-    S_{k+1})`` with the window closing the outermost cells.  For
-    ``beta = 0`` the system is diagonal.
+    S_{k+1})`` with the window closing the outermost cells.  The price at
+    ``slot`` enters the right-hand sides of the two boundaries closing its
+    cell, ``+1`` on the left one and ``-1`` on the right one, which is the
+    second column.  For ``beta = 0`` the system is diagonal.
     """
-    d = np.diff(x)
-    c = np.diff(p) + np.diff(x * x)
+    d = x[1:] - x[:-1]
+    xx = x * x
+    rhs = np.zeros((len(d), 2))
+    rhs[:, 0] = p[1:] - p[:-1] + (xx[1:] - xx[:-1])
+    if slot is not None:
+        if slot > 0:
+            rhs[slot - 1, 1] = 1.0
+        if slot < len(d):
+            rhs[slot, 1] = -1.0
     if beta == 0.0:
-        return c / (2.0 * d)
+        return rhs / (2.0 * d)[:, None]
+    rhs[0, 0] -= beta * lo
+    rhs[-1, 0] -= beta * hi
     A = _boundary_matrix(d, beta)
-    rhs = c.copy()
-    rhs[0] -= beta * lo
-    rhs[-1] -= beta * hi
     if singular_boundaries(A):
         raise SingularSystem(_singular_message(x, beta))
     try:
         r = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(_singular_message(x, beta)) from exc
-    scale = max(1.0, float(np.abs(rhs).max()))
-    if not np.all(np.isfinite(r)) or np.max(np.abs(A @ r - rhs)) > 1e-6 * scale:
+    scale = max(1.0, float(np.abs(rhs[:, 0]).max()))
+    if not np.all(np.isfinite(r)) or np.max(np.abs(A @ r[:, 0] - rhs[:, 0])) > 1e-6 * scale:
         raise SingularSystem(_singular_message(x, beta))
     return r
 
@@ -219,42 +229,17 @@ def _boundary_matrix(d: np.ndarray, beta: float) -> np.ndarray:
 
 
 def singular_boundaries(A: np.ndarray) -> bool:
-    """Whether the boundary system ``A`` is singular to working precision.
+    """Whether the boundary system ``A`` is singular to working precision:
+    its 2-norm condition number exceeds ``1e12``.
 
+    ``A`` is symmetric, so that number is the ratio of its largest to its
+    smallest eigenvalue magnitude; a zero eigenvalue counts as singular.
     A consistent rank-deficient system has a whole family of partitions;
     conditioning only explodes within rounding distance of exact
     degeneracy, so this trips nothing else.
     """
-    return bool(np.linalg.cond(A) > 1e12)
-
-
-def _line_slope(x: np.ndarray, beta: float, slot: int) -> float:
-    """``dS/dP`` of the active company at ``slot`` with the survivors fixed.
-
-    Its price enters the right-hand sides of the two boundaries closing
-    its cell (``+1`` on the left one, ``-1`` on the right one), so the
-    slope is one more solve of the boundary system.  Without brand
-    feedback it is ``-(1/(2 d_L) + 1/(2 d_R))``.
-    """
-    n = len(x) - 1
-    if n == 0:
-        return 0.0
-    d = np.diff(x)
-    dc = _price_direction(n, slot)
-    dr = dc / (2.0 * d) if beta == 0.0 else np.linalg.solve(_boundary_matrix(d, beta), dc)
-    return (dr[slot] if slot < n else 0.0) - (dr[slot - 1] if slot > 0 else 0.0)
-
-
-def _price_direction(n: int, slot: int) -> np.ndarray:
-    """Change of the ``n`` boundary equations' right-hand sides per unit
-    price of the active company at ``slot``: ``+1`` on the boundary left of
-    its cell, ``-1`` on the one right of it."""
-    dc = np.zeros(n)
-    if slot > 0:
-        dc[slot - 1] = 1.0
-    if slot < n:
-        dc[slot] = -1.0
-    return dc
+    size = np.abs(np.linalg.eigvalsh(A))
+    return bool(size.min() == 0.0 or size.max() > 1e12 * size.min())
 
 
 def _singular_message(x: np.ndarray, beta: float) -> str:
@@ -273,30 +258,45 @@ def _feedback_loop(
     lo: float,
     hi: float,
     eps_area: float,
+    focal: int | None,
+    margins: list[np.ndarray] | None,
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Survivor elimination loop on a line.
 
     Returns ``(active, bounds, areas)`` where ``active`` indexes into the
-    sorted input arrays, ``bounds`` has one more entry than ``active``
-    (window edges included) and ``areas`` aligns with ``active``.
+    sorted input arrays, ``bounds`` has one more row than ``active``
+    (window edges included) and ``areas`` aligns with ``active``.  Both
+    have two columns: the value, and its change per unit price of the
+    company at ``focal`` (:func:`_line_boundaries`).
     Elimination removes the most negative solved area first, then the
     worst brand-threshold violator; removed companies never re-enter
-    within one solve.
+    within one solve.  Each area decision goes to ``margins`` (unless
+    ``None``) as rows ``(margin, rate)``: it holds while every ``margin +
+    rate u`` stays non-negative, ``u`` the rise of the focal price.  The
+    threshold decisions depend on no price.
     """
     active = list(candidates)
     for _ in range(len(x) + 1):
-        xs, ps = x[active], p[active]
-        if len(active) == 1:
-            bounds = np.array([lo, hi])
-        else:
-            r = _line_boundaries(xs, ps, beta, lo, hi)
-            bounds = np.concatenate([[lo], r, [hi]])
-        areas = np.diff(bounds)
-        if len(active) > 1 and np.min(areas) <= eps_area:
-            del active[int(np.argmin(areas))]
-            continue
+        bounds = np.zeros((len(active) + 1, 2))
+        bounds[0, 0], bounds[-1, 0] = lo, hi
+        if len(active) > 1:
+            slot = active.index(focal) if focal in active else None
+            bounds[1:-1] = _line_boundaries(x[active], p[active], beta, lo, hi, slot)
+        areas = bounds[1:] - bounds[:-1]
+        if len(active) > 1:
+            j = int(np.argmin(areas[:, 0]))
+            if areas[j, 0] <= eps_area:
+                if margins is not None:
+                    # j stays the smallest area, and at most eps_area
+                    held = areas - areas[j]
+                    held[j] = eps_area - areas[j, 0], -areas[j, 1]
+                    margins.append(held)
+                del active[j]
+                continue
+            if margins is not None:
+                margins.append(areas - (eps_area, 0.0))
         if beta > 0.0 and len(active) > 1:
-            thresholds = line_thresholds(xs)
+            thresholds = line_thresholds(x[active])
             if float(np.min(thresholds)) <= beta:
                 del active[int(np.argmin(thresholds))]
                 continue
@@ -311,23 +311,67 @@ def _invasion(
     active: list[int],
     bounds: np.ndarray,
     areas: np.ndarray,
+    focal: int | None,
     eps_price: float,
-) -> bool:
+) -> tuple[bool, np.ndarray]:
     """Can some eliminated company undercut the solved state anywhere?
 
     Aggregate-price fields share one curvature, so the gap between an
     outsider's field and the survivors' lower envelope is piecewise
     linear; checking it at the cell boundaries (window edges included)
-    is exhaustive.  ``p``, ``bounds``, ``areas`` and ``eps_price`` may carry
-    a leading axis of price rows; the answer then has one flag per row.
+    is exhaustive.  Returns the answer and, as rows ``(gap, rate)``, each
+    outsider's gap at each boundary against the survivor holding the
+    envelope there, and its change per unit price of the company at
+    ``focal``.  The difference of two fields is affine in the position,
+    so that gap is affine in the focal price; the survivor's field never
+    lies below the envelope, so the gap falls to any level no later than
+    the true one.
     """
-    out = [k for k in range(len(x)) if k not in active]
-    if not out:
-        return eps_price < 0.0  # never: one False per row
-    w = p[..., active] - beta * areas
-    envelope = (w[..., :, None] + (bounds[..., None, :] - x[active][:, None]) ** 2).min(-2)
-    field = p[..., out, None] + (bounds[..., None, :] - x[out][:, None]) ** 2
-    return (field - envelope[..., None, :]).min((-2, -1)) < -eps_price
+    out = np.array([k for k in range(len(x)) if k not in active], dtype=int)
+    if not len(out):
+        return False, np.zeros((0, 2))
+    at = bounds[:, 0]
+    xa, xo = x[active], x[out][:, None]
+    fields = p[active, None] - beta * areas[:, :1] + (at - xa[:, None]) ** 2
+    holder = np.argmin(fields, axis=0)
+    gap = p[out, None] + (at - xo) ** 2 - fields[holder, np.arange(len(at))]
+    own_rate = (np.array(active) == focal) - beta * areas[:, 1]
+    rate = (out == focal)[:, None] - own_rate[holder] + 2.0 * (xa[holder] - xo) * bounds[:, 1]
+    return float(gap.min()) < -eps_price, np.stack([gap, rate], axis=-1).reshape(-1, 2)
+
+
+class _LinePiece(NamedTuple):
+    """A line solve and the stretch of the focal price it holds on.
+
+    ``active`` indexes the sorted input arrays, ``bounds`` has one more
+    entry than ``active`` (window edges included), and ``areas`` and
+    ``slopes`` align with ``active``: each area and its change per unit
+    focal price with the survivor set fixed.  ``margins`` holds the
+    solve's decisions as rows ``(margin, rate)`` (see
+    :func:`_feedback_loop`); ``damped`` marks a solve settled by the damped
+    fallback, whose piece is its own price alone.
+    """
+
+    active: list[int]
+    bounds: np.ndarray
+    areas: np.ndarray
+    slopes: np.ndarray
+    margins: list[np.ndarray]
+    damped: bool = False
+
+    @property
+    def reach(self) -> float:
+        """Largest rise ``u`` of the focal price over which every ``margin +
+        rate u`` stays non-negative; 0 when a margin already is negative."""
+        if self.damped:
+            return 0.0
+        if not self.margins:
+            return math.inf
+        m = np.concatenate(self.margins)
+        if np.any(m[:, 0] < 0.0):
+            return 0.0
+        falling = m[:, 1] < 0.0
+        return float(np.min(m[falling, 0] / -m[falling, 1], initial=math.inf))
 
 
 def _solve_line(
@@ -337,8 +381,10 @@ def _solve_line(
     lo: float,
     hi: float,
     eps_area: float,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Full 1D solve: candidate selection, feedback solve, validation.
+    focal: int | None = None,
+) -> _LinePiece:
+    """Full 1D solve: candidate selection, feedback solve, validation, and
+    the piece of the price of the company at ``focal`` that it holds on.
 
     The physically meaningful state is the one the market grows into
     from the brand-free split, which is also where the grid oracle's
@@ -348,27 +394,44 @@ def _solve_line(
     When strong feedback sends the linear path to an inconsistent state,
     fall back to a damped fixed point of the analytic envelope map and
     polish its survivor set with the exact linear solve.
+
+    With the survivor set fixed the boundary system is linear, so every
+    boundary, area and invasion gap is affine in the focal price, and the
+    solve's decisions change only where one of them crosses zero: the
+    piece ends at the first such price (:attr:`_LinePiece.reach`).
+    ``eps_price`` only grows with the focal price, which every caller
+    keeps non-negative, so the margins take it at the solved price.
+    Without a focal company nothing moves and the piece is unbounded.
     """
-    candidates = list(range(len(x)))
+    margins: list[np.ndarray] | None = None if focal is None else []
+    base_active, bounds, areas = _feedback_loop(
+        x, p, 0.0, list(range(len(x))), lo, hi, eps_area, focal, margins
+    )
     if beta == 0.0:
-        return _feedback_loop(x, p, 0.0, candidates, lo, hi, eps_area)
+        return _LinePiece(base_active, bounds[:, 0], areas[:, 0], areas[:, 1], margins or [])
 
     eps_price = 1e-9 * max(1.0, float(np.abs(p).max()), (hi - lo) ** 2)
-    base_active, _, base_areas = _feedback_loop(x, p, 0.0, candidates, lo, hi, eps_area)
-    active, bounds, areas = _feedback_loop(x, p, beta, base_active, lo, hi, eps_area)
-    if not _invasion(x, p, beta, active, bounds, areas, eps_price):
-        return active, bounds, areas
+    base_areas = areas[:, 0]
+    active, bounds, areas = _feedback_loop(
+        x, p, beta, base_active, lo, hi, eps_area, focal, margins
+    )
+    invaded, gaps = _invasion(x, p, beta, active, bounds, areas, focal, eps_price)
+    if not invaded:
+        if margins is not None:
+            margins.append(gaps + (eps_price, 0.0))
+        return _LinePiece(active, bounds[:, 0], areas[:, 0], areas[:, 1], margins or [])
 
     # Damped fixed point of S -> envelope_areas(p - beta S), full roster so
-    # eliminated companies may re-enter while the state evolves.
+    # eliminated companies may re-enter while the state evolves.  Its
+    # decisions are not tracked: the piece is its own price alone.
     s = np.zeros(len(x))
     s[base_active] = base_areas
     for _ in range(10_000):
         env_active, _, env_areas = _feedback_loop(
-            x, p - beta * s, 0.0, list(range(len(x))), lo, hi, eps_area
+            x, p - beta * s, 0.0, list(range(len(x))), lo, hi, eps_area, None, None
         )
         proposal = np.zeros(len(x))
-        proposal[env_active] = env_areas
+        proposal[env_active] = env_areas[:, 0]
         step = float(np.max(np.abs(proposal - s)))
         s = 0.5 * s + 0.5 * proposal
         if 0.5 * step < eps_area:
@@ -379,13 +442,13 @@ def _solve_line(
         )
     final_candidates = [k for k in range(len(x)) if s[k] > eps_area]
     active, bounds, areas = _feedback_loop(
-        x, p, beta, final_candidates, lo, hi, eps_area
+        x, p, beta, final_candidates, lo, hi, eps_area, focal, None
     )
-    if _invasion(x, p, beta, active, bounds, areas, eps_price):
+    if _invasion(x, p, beta, active, bounds, areas, focal, eps_price)[0]:
         raise NoStableSurvivorSet(
             "no ownership-consistent survivor set found"
         )
-    return active, bounds, areas
+    return _LinePiece(active, bounds[:, 0], areas[:, 0], areas[:, 1], [], True)
 
 
 def _partition_1d(
@@ -402,7 +465,7 @@ def _partition_1d(
     lo, hi = scenario.window.lo[0], scenario.window.hi[0]
     eps_area = area_tolerance(scenario)
 
-    active, bounds, areas_arr = _solve_line(x, p, beta, lo, hi, eps_area)
+    active, bounds, areas_arr, *_ = _solve_line(x, p, beta, lo, hi, eps_area)
 
     cells: dict[int, Interval | ConvexPolygon | None] = {cid: None for cid in ids}
     areas: dict[int, float] = {cid: 0.0 for cid in ids}
@@ -568,9 +631,7 @@ def _edge_attribution(
 _NEAREST = 24
 
 # Rows solved together, at most: companies of one partition in a batched
-# clip, or prices of one curve on a line.  Blocks of 1,024 prices raised
-# the peak resident memory of the benchmark's 10,000-price audits by
-# about 2 MB.
+# clip.
 _BLOCK = 256
 
 # Elements of the (rows x companies) arrays a batched clip block holds;
@@ -1057,18 +1118,20 @@ class LocalSolve(NamedTuple):
 
 
 def _solve_sorted_line(
-    scenario: Scenario, values: np.ndarray
-) -> tuple[tuple[int, ...], np.ndarray, list[int], np.ndarray]:
-    """``_solve_line`` on a line scenario's sorted positions: returns the
-    sort order, the sorted positions, the active slots and their areas."""
+    scenario: Scenario, values: np.ndarray, k: int | None = None
+) -> tuple[tuple[int, ...], _LinePiece, int | None]:
+    """``_solve_line`` on a line scenario's sorted positions, with company
+    index ``k`` the focal one: returns the sort order, the piece, and
+    ``k``'s slot among the active companies (``None``: no market)."""
     order, xs = line_layout(scenario)
-    x = np.array(xs)
+    focal = None if k is None else order.index(k)
     beta = scenario.beta if scenario.q == 1 else 0.0
-    active, _, areas = _solve_line(
-        x, values[list(order)], beta, scenario.window.lo[0], scenario.window.hi[0],
-        area_tolerance(scenario),
+    piece = _solve_line(
+        np.array(xs), values[list(order)], beta, scenario.window.lo[0],
+        scenario.window.hi[0], area_tolerance(scenario), focal,
     )
-    return order, x, active, areas
+    slot = piece.active.index(focal) if focal in piece.active else None
+    return order, piece, slot
 
 
 def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
@@ -1080,9 +1143,8 @@ def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
     """
     k = scenario.index_of[company_id]
     if scenario.dimension == 1:
-        order, _, active, areas = _solve_sorted_line(scenario, values)
-        slot = {order[a]: s for s, a in enumerate(active)}.get(k)
-        return float(areas[slot]) if slot is not None else 0.0
+        _, piece, slot = _solve_sorted_line(scenario, values, k)
+        return float(piece.areas[slot]) if slot is not None else 0.0
     verts = focal_cell_2d(scenario, values, k)
     return loop_area(verts) if len(verts) >= 3 else 0.0
 
@@ -1096,23 +1158,22 @@ def fast_signature(
     Within a piece of constant neighbor set the area is linear (1D) or
     quadratic (2D) in the company's own price, with slope ``-gamma``: the
     sum of ``l / (2 d)`` over the cell's bisector edges in 2D.  On a line
-    the slope comes from the survivors' boundary system, which also
-    carries the brand feedback when ``q = 1``.
+    the slope is the focal price's column of the same solve of the
+    survivors' boundary system, which also carries the brand feedback
+    when ``q = 1``.
     """
     k = scenario.index_of[company_id]
     if scenario.dimension == 1:
-        order, x, active, areas = _solve_sorted_line(scenario, values)
-        slot = next((s for s, a in enumerate(active) if order[a] == k), None)
+        order, piece, slot = _solve_sorted_line(scenario, values, k)
         if slot is None:
             return LocalSolve(0.0, 0.0, None)
+        active = piece.active
         flanks = frozenset(
             scenario.ids[order[active[s]]]
             for s in (slot - 1, slot + 1)
             if 0 <= s < len(active)
         )
-        beta = scenario.beta if scenario.q == 1 else 0.0
-        slope = _line_slope(x[active], beta, slot)
-        return LocalSolve(float(areas[slot]), float(slope), flanks)
+        return LocalSolve(float(piece.areas[slot]), float(piece.slopes[slot]), flanks)
     normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
     verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
     if len(verts) < 3:
@@ -1141,183 +1202,79 @@ def areas_for_prices(
 ) -> np.ndarray:
     """:func:`fast_area` of one company at every price in ``prices``.
 
-    Everyone else keeps their ``values`` entry.  Only the company's own
-    price moves.  On a line all prices that share a survivor set share
-    its boundaries ``r_a + P r_b`` (one solve with two right-hand sides),
-    in blocks of at most ``_BLOCK`` prices; rows the line solve cannot
-    settle the way the scalar solve would (an invasion) are re-solved by
-    the scalar path.  In the plane the cell keeps its half-plane normals
-    while their offsets shift by ``-P``, so its area is quadratic in ``P``
-    between changes of its edges: the prices are walked upwards with one
-    :func:`clip_cell` per such piece (:func:`_plane_curve`).
+    Everyone else keeps their ``values`` entry; only the company's own
+    price moves.  One walk serves both dimensions: over the sorted
+    prices, it solves at the lowest price not yet filled, fills every
+    price up to the end of that solve's piece from the piece's area
+    model, and solves again.  A piece's first price takes the solve's own
+    area, so it is the per-price area to the bit.  On a line the model is
+    ``area + slope u`` for a price rise ``u``: with the survivor set fixed
+    the boundary system is linear (:func:`_solve_line`).  In the plane the
+    cell keeps its half-plane normals while their offsets shift by
+    ``-u``, so its area is quadratic in ``u`` (:func:`_plane_piece`), and
+    an empty cell holds no market at any higher price.
     """
     prices = np.asarray(prices, dtype=float)
     k = scenario.index_of[company_id]
-    if scenario.dimension == 1:
-        out, sets, invaded = _line_areas(scenario, values, k, prices)
-        log = _debug_logger(__name__)
-        if log is not None:
-            log.debug(
-                "areas_for_prices: company %s, %d prices on a line, %d survivor "
-                "sets, %d rows re-solved by the scalar path (invasion fallback)",
-                company_id, len(prices), sets, invaded,
-            )
-        return out
-    out, pieces = _plane_curve(scenario, values, k, prices)
+    line = scenario.dimension == 1
+    piece_at = _line_piece_at if line else _plane_piece_at
+    order = np.argsort(prices, kind="stable")
+    walk = prices[order]
+    areas = np.zeros(len(walk))
+    values = np.array(values, dtype=float)
+    i = pieces = damped = 0
+    while i < len(walk):
+        values[k] = walk[i]
+        area, slope, curvature, reach, alone = piece_at(scenario, values, k)
+        pieces += 1
+        damped += alone
+        areas[i] = area
+        end = max(i + 1, int(np.searchsorted(walk, walk[i] + reach, side="right")))
+        u = walk[i + 1 : end] - walk[i]
+        areas[i + 1 : end] = np.maximum(area + u * (slope + u * curvature), 0.0)
+        i = end
+    out = np.empty(len(walk))
+    out[order] = areas
     log = _debug_logger(__name__)
     if log is not None:
-        log.debug(
-            "areas_for_prices: company %s, %d prices in the plane, %d pieces "
-            "(one cell clip each)",
-            company_id, len(prices), pieces,
-        )
+        if line:
+            log.debug(
+                "areas_for_prices: company %s, %d prices on a line, %d solved alone "
+                "by the damped fallback, %d pieces (one line solve each)",
+                company_id, len(prices), damped, pieces,
+            )
+        else:
+            log.debug(
+                "areas_for_prices: company %s, %d prices in the plane, %d pieces "
+                "(one cell clip each)",
+                company_id, len(prices), pieces,
+            )
     return out
 
 
-def _boundary_pencil(
-    x: np.ndarray,
-    p: np.ndarray,
-    beta: float,
-    lo: float,
-    hi: float,
-    slot: int | None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """Boundaries of the active companies at ``x`` as the price of the one
-    at ``slot`` (``None``: it is not active) moves: ``r[:, 0] + P r[:, 1]``,
-    with ``p`` holding ``0`` at that slot.
-
-    Returns ``r`` and, under brand feedback, the residual ``A r - rhs`` and
-    the right-hand sides of both columns, from which each price gets the
-    residual check :func:`_line_boundaries` makes.
-    """
-    d = np.diff(x)
-    n = len(d)
-    direction = np.zeros(n) if slot is None else _price_direction(n, slot)
-    rhs = np.column_stack([np.diff(p) + np.diff(x * x), direction])
-    if beta == 0.0:
-        return rhs / (2.0 * d)[:, None], None
-    rhs[0, 0] -= beta * lo
-    rhs[-1, 0] -= beta * hi
-    A = _boundary_matrix(d, beta)
-    if singular_boundaries(A):
-        raise SingularSystem(_singular_message(x, beta))
-    try:
-        r = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(_singular_message(x, beta)) from exc
-    return r, (A @ r - rhs, rhs)
+def _line_piece_at(
+    scenario: Scenario, values: np.ndarray, k: int
+) -> tuple[float, float, float, float, bool]:
+    """Company ``k``'s area at ``values`` on a line, its slope and
+    curvature (0) in the own price, the piece's reach, and whether the
+    damped fallback settled it."""
+    _, piece, slot = _solve_sorted_line(scenario, values, k)
+    if slot is None:
+        return 0.0, 0.0, 0.0, piece.reach, piece.damped
+    return piece.areas[slot], piece.slopes[slot], 0.0, piece.reach, piece.damped
 
 
-def _eliminate_rows(
-    x: np.ndarray,
-    beta: float,
-    candidates: list[int],
-    price: np.ndarray,
-    rows: np.ndarray,
-    eps_area: float,
-    bounds_at: Callable[[float, list[int], np.ndarray], np.ndarray],
-) -> Iterator[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`_feedback_loop` at the prices ``price[rows]`` at once.
-
-    Rows whose elimination removes the same company stay together, so
-    each survivor set met gets one call ``bounds_at(beta, active,
-    prices)``, which returns every row's window edges and boundaries.
-    Yields ``(active, rows, bounds, areas)`` per stable survivor set.
-    """
-    stack = [(list(candidates), rows)]
-    while stack:
-        active, rows = stack.pop()
-        bounds = bounds_at(beta, active, price[rows])
-        areas = np.diff(bounds, axis=1)
-        if len(active) > 1:
-            worst = np.argmin(areas, axis=1)
-            cut = areas[np.arange(len(rows)), worst] <= eps_area
-            for j in np.flatnonzero(np.bincount(worst[cut], minlength=len(active))):
-                stack.append((active[:j] + active[j + 1 :], rows[cut & (worst == j)]))
-            rows, bounds, areas = rows[~cut], bounds[~cut], areas[~cut]
-            if len(rows) == 0:
-                continue
-            if beta > 0.0:
-                thresholds = line_thresholds(x[active])
-                if float(np.min(thresholds)) <= beta:
-                    j = int(np.argmin(thresholds))
-                    stack.append((active[:j] + active[j + 1 :], rows))
-                    continue
-        yield active, rows, bounds, areas
-
-
-def _line_areas(
-    scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """``_solve_line``'s sequence on groups of prices sharing a survivor
-    set: brand-free elimination, brand elimination from its survivors,
-    then the invasion test.  Invaded rows go through ``_solve_line``
-    itself, damped fallback included.  Returns the areas, the number of
-    survivor sets solved and the number of invaded rows."""
-    order, xs = line_layout(scenario)
-    x = np.array(xs)
-    p = values[list(order)]
-    f = order.index(k)
-    p[f] = 0.0
-    beta = scenario.beta if scenario.q == 1 else 0.0
-    lo, hi = scenario.window.lo[0], scenario.window.hi[0]
-    eps_area = area_tolerance(scenario)
-    eps_price = 1e-9 * max(1.0, float(np.abs(p).max()), (hi - lo) ** 2)
-    pencils: dict[tuple[float, tuple[int, ...]], tuple] = {}
-    out = np.zeros(len(prices))
-    invaded_rows = 0
-
-    def bounds_at(b: float, active: list[int], price: np.ndarray) -> np.ndarray:
-        bounds = np.empty((len(price), len(active) + 1))
-        bounds[:, 0], bounds[:, -1] = lo, hi
-        if len(active) == 1:
-            return bounds
-        key = (b, tuple(active))
-        if key not in pencils:
-            slot = active.index(f) if f in active else None
-            pencils[key] = _boundary_pencil(x[active], p[active], b, lo, hi, slot)
-        r, check = pencils[key]
-        price = price[:, None]
-        bounds[:, 1:-1] = r[:, 0] + price * r[:, 1]
-        if check is not None:
-            residual, rhs = (m[:, 0] + price * m[:, 1] for m in check)
-            scale = np.maximum(1.0, np.abs(rhs).max(axis=1))
-            if not np.all(np.isfinite(bounds)) or np.any(
-                np.abs(residual).max(axis=1) > 1e-6 * scale
-            ):
-                raise SingularSystem(_singular_message(x[active], b))
-        return bounds
-
-    everyone = list(range(len(x)))
-    for start in range(0, len(prices), _BLOCK):
-        price_block = prices[start : start + _BLOCK]
-        leaves = _eliminate_rows(
-            x, 0.0, everyone, price_block, np.arange(len(price_block)), eps_area, bounds_at
-        )
-        if beta > 0.0:
-            leaves = (
-                leaf
-                for base, rows, _, _ in leaves
-                for leaf in _eliminate_rows(
-                    x, beta, base, price_block, rows, eps_area, bounds_at
-                )
-            )
-        for active, rows, bounds, areas in leaves:
-            if beta > 0.0:
-                p_rows = np.tile(p, (len(rows), 1))
-                p_rows[:, f] = price_block[rows]
-                invaded = _invasion(
-                    x, p_rows, beta, active, bounds, areas,
-                    np.maximum(eps_price, 1e-9 * np.abs(price_block[rows])),
-                )
-                for row, p_row in zip(rows[invaded], p_rows[invaded]):
-                    kept, _, kept_areas = _solve_line(x, p_row, beta, lo, hi, eps_area)
-                    out[start + row] = kept_areas[kept.index(f)] if f in kept else 0.0
-                invaded_rows += int(np.count_nonzero(invaded))
-                rows, areas = rows[~invaded], areas[~invaded]
-            if f in active:
-                out[start + rows] = areas[:, active.index(f)]
-    return out, len(pencils), invaded_rows
+def _plane_piece_at(
+    scenario: Scenario, values: np.ndarray, k: int
+) -> tuple[float, float, float, float, bool]:
+    """Company ``k``'s area at ``values`` in the plane, from the one-cell
+    clip :func:`fast_area` makes, with :func:`_plane_piece`'s model; an
+    empty cell is a piece that holds at 0 for ever."""
+    normals, offsets, _ = _cell_planes(scenario.positions, values, k)
+    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+    if len(verts) < 3:
+        return 0.0, 0.0, 0.0, math.inf, False
+    return loop_area(verts), *_plane_piece(verts, normals, offsets, scenario.window), False
 
 
 # The window's sides as half-planes ``a . x <= b``: x >= lo, x <= hi, y >= lo,
@@ -1375,41 +1332,6 @@ def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
 
 
-def _plane_curve(
-    scenario: Scenario, values: np.ndarray, k: int, prices: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """:func:`fast_area` of company ``k`` at every price, walking the
-    prices upwards piece by piece.  Returns the areas and the pieces.
-
-    Each piece starts with the one-cell clip :func:`fast_area` makes,
-    so its first price's area is that clip's to the bit; the prices up
-    to the piece's end (:func:`_plane_piece`) take the piece's quadratic.
-    With ``q = 0`` an area never grows with its own price, so once the
-    cell is gone every higher price holds no market either.
-    """
-    order = np.argsort(prices, kind="stable")
-    walk = prices[order]
-    areas = np.zeros(len(walk))
-    values = np.array(values, dtype=float)
-    i = pieces = 0
-    while i < len(walk):
-        values[k] = walk[i]
-        normals, offsets, _ = _cell_planes(scenario.positions, values, k)
-        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
-        pieces += 1
-        if len(verts) < 3:
-            break
-        areas[i] = loop_area(verts)
-        slope, curvature, reach = _plane_piece(verts, normals, offsets, scenario.window)
-        end = max(i + 1, int(np.searchsorted(walk, walk[i] + reach, side="right")))
-        u = walk[i + 1 : end] - walk[i]
-        areas[i + 1 : end] = np.maximum(areas[i] + u * (slope + u * curvature), 0.0)
-        i = end
-    out = np.empty(len(walk))
-    out[order] = areas
-    return out, pieces
-
-
 def compute_wipeout_diagnostics(
     scenario: Scenario,
     prices: PriceVector,
@@ -1430,7 +1352,7 @@ def compute_wipeout_diagnostics(
     keep = [k for k in order if ids[k] != company_id]
     lo, hi = scenario.window.lo[0], scenario.window.hi[0]
     beta = scenario.beta if scenario.q == 1 else 0.0
-    active, _, hidden_areas = _solve_line(
+    active, _, hidden_areas, *_ = _solve_line(
         scenario.positions[keep, 0], prices.as_array()[keep], beta, lo, hi,
         area_tolerance(scenario),
     )

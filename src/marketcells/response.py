@@ -89,10 +89,10 @@ def profit_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profit at ``samples`` evenly spaced prices over [0, price_upper].
 
-    The areas come from :func:`areas_for_prices`: on a line one boundary
-    solve per survivor set, in the plane one cell clip per piece of the
-    curve and the piece's exact quadratic area in between, so the curve
-    is exact up to roundoff at every sample.
+    The areas come from :func:`areas_for_prices`: one solve per piece of
+    the curve, a line solve or a one-cell clip, and the piece's exact
+    area model in between, linear on a line and quadratic in the plane,
+    so the curve is exact up to roundoff at every sample.
     """
     if samples < 1:
         raise ValidationError(f"a profit curve needs at least one sample, got {samples}")

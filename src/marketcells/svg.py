@@ -8,7 +8,7 @@ convention.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .areas import MarketPartition
 from .model import PriceVector, Scenario
@@ -64,7 +64,7 @@ def render_partition_svg(
     for c in scenario.companies:
         x, y = project(c.position)
         price = prices.price_of(scenario, c.id)
-        label = escape(f"company {c.id}: price {price:.4g}")
+        label = escape(f"company {c.id}: price {price:.4g}", quote=False)
         if c.id in part.survivors:
             shape = (
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" '

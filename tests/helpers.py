@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from marketcells import (
@@ -12,12 +14,27 @@ from marketcells import (
     NeighborEdge,
     PriceVector,
     Scenario,
+    load_scenario,
     solve_partition,
     wipeout_threshold,
 )
-from marketcells.areas import _TIE_RTOL, _cell_planes, area_tolerance, fast_signature
-from marketcells.errors import MarketCellsError
+from marketcells.areas import (
+    _TIE_RTOL,
+    _boundary_matrix,
+    _cell_planes,
+    _singular_message,
+    area_tolerance,
+    fast_signature,
+    line_thresholds,
+)
+from marketcells.errors import (
+    MarketCellsError,
+    NoStableSurvivorSet,
+    SingularSystem,
+)
 from marketcells.geometry import EPS_GEOM, clip_cell, loop_area
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 # Acceptance bookkeeping: criterion number -> (label, passed, detail).
 ACCEPTANCE: dict[int, tuple[str, bool, str]] = {}
@@ -143,6 +160,11 @@ def triple_q1(beta: float, prices=(1.0, 1.0, 1.0), price_upper: float = 5.0) -> 
     return line_scenario(
         [0.0, 1.0, 2.0], prices, beta=beta, q=1, price_upper=price_upper, margin=0.5
     )
+
+
+def brand_triple(beta: float) -> Scenario:
+    """The demo ``brand_triple`` market at brand weight ``beta``."""
+    return load_scenario((DEMOS / "brand_triple.json").read_text()).with_beta(beta)
 
 
 def lattice_2d(
@@ -340,6 +362,174 @@ def random_scenario(rng: np.random.Generator, kind: str) -> Scenario:
     if kind == "plane":
         return random_plane_scenario(rng)
     raise ValueError(kind)
+
+
+# ---------------------------------------------------------------------------
+# Reference line solve
+# ---------------------------------------------------------------------------
+# The line solve as it stood before it tracked the piece of the own price
+# it holds on, copied verbatim: one price at a time, one right-hand side
+# per boundary solve.  The parametric solve must reproduce it.
+
+
+def singular_boundaries(A: np.ndarray) -> bool:
+    """The reference solve's singularity test: the SVD condition number."""
+    return bool(np.linalg.cond(A) > 1e12)
+
+
+def _line_boundaries(
+    x: np.ndarray, p: np.ndarray, beta: float, lo: float, hi: float
+) -> np.ndarray:
+    """Interior boundaries of consecutive active companies.
+
+    Solves ``2 d_k R_k = p_{k+1} - p_k + x_{k+1}^2 - x_k^2 + beta (S_k -
+    S_{k+1})`` with the window closing the outermost cells.  For
+    ``beta = 0`` the system is diagonal.
+    """
+    d = np.diff(x)
+    c = np.diff(p) + np.diff(x * x)
+    if beta == 0.0:
+        return c / (2.0 * d)
+    A = _boundary_matrix(d, beta)
+    rhs = c.copy()
+    rhs[0] -= beta * lo
+    rhs[-1] -= beta * hi
+    if singular_boundaries(A):
+        raise SingularSystem(_singular_message(x, beta))
+    try:
+        r = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(_singular_message(x, beta)) from exc
+    scale = max(1.0, float(np.abs(rhs).max()))
+    if not np.all(np.isfinite(r)) or np.max(np.abs(A @ r - rhs)) > 1e-6 * scale:
+        raise SingularSystem(_singular_message(x, beta))
+    return r
+
+
+def _feedback_loop(
+    x: np.ndarray,
+    p: np.ndarray,
+    beta: float,
+    candidates: list[int],
+    lo: float,
+    hi: float,
+    eps_area: float,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Survivor elimination loop on a line.
+
+    Returns ``(active, bounds, areas)`` where ``active`` indexes into the
+    sorted input arrays, ``bounds`` has one more entry than ``active``
+    (window edges included) and ``areas`` aligns with ``active``.
+    Elimination removes the most negative solved area first, then the
+    worst brand-threshold violator; removed companies never re-enter
+    within one solve.
+    """
+    active = list(candidates)
+    for _ in range(len(x) + 1):
+        xs, ps = x[active], p[active]
+        if len(active) == 1:
+            bounds = np.array([lo, hi])
+        else:
+            r = _line_boundaries(xs, ps, beta, lo, hi)
+            bounds = np.concatenate([[lo], r, [hi]])
+        areas = np.diff(bounds)
+        if len(active) > 1 and np.min(areas) <= eps_area:
+            del active[int(np.argmin(areas))]
+            continue
+        if beta > 0.0 and len(active) > 1:
+            thresholds = line_thresholds(xs)
+            if float(np.min(thresholds)) <= beta:
+                del active[int(np.argmin(thresholds))]
+                continue
+        return active, bounds, areas
+    raise NoStableSurvivorSet("survivor elimination exceeded its removal budget")
+
+
+def _invasion(
+    x: np.ndarray,
+    p: np.ndarray,
+    beta: float,
+    active: list[int],
+    bounds: np.ndarray,
+    areas: np.ndarray,
+    eps_price: float,
+) -> bool:
+    """Can some eliminated company undercut the solved state anywhere?
+
+    Aggregate-price fields share one curvature, so the gap between an
+    outsider's field and the survivors' lower envelope is piecewise
+    linear; checking it at the cell boundaries (window edges included)
+    is exhaustive.  ``p``, ``bounds``, ``areas`` and ``eps_price`` may carry
+    a leading axis of price rows; the answer then has one flag per row.
+    """
+    out = [k for k in range(len(x)) if k not in active]
+    if not out:
+        return eps_price < 0.0  # never: one False per row
+    w = p[..., active] - beta * areas
+    envelope = (w[..., :, None] + (bounds[..., None, :] - x[active][:, None]) ** 2).min(-2)
+    field = p[..., out, None] + (bounds[..., None, :] - x[out][:, None]) ** 2
+    return (field - envelope[..., None, :]).min((-2, -1)) < -eps_price
+
+
+def _solve_line(
+    x: np.ndarray,
+    p: np.ndarray,
+    beta: float,
+    lo: float,
+    hi: float,
+    eps_area: float,
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Full 1D solve: candidate selection, feedback solve, validation.
+
+    The physically meaningful state is the one the market grows into
+    from the brand-free split, which is also where the grid oracle's
+    damped iteration starts.  So: seed candidates with the brand-free
+    envelope survivors, run the linear-system elimination loop, and
+    accept the result only if no eliminated company could undercut it.
+    When strong feedback sends the linear path to an inconsistent state,
+    fall back to a damped fixed point of the analytic envelope map and
+    polish its survivor set with the exact linear solve.
+    """
+    candidates = list(range(len(x)))
+    if beta == 0.0:
+        return _feedback_loop(x, p, 0.0, candidates, lo, hi, eps_area)
+
+    eps_price = 1e-9 * max(1.0, float(np.abs(p).max()), (hi - lo) ** 2)
+    base_active, _, base_areas = _feedback_loop(x, p, 0.0, candidates, lo, hi, eps_area)
+    active, bounds, areas = _feedback_loop(x, p, beta, base_active, lo, hi, eps_area)
+    if not _invasion(x, p, beta, active, bounds, areas, eps_price):
+        return active, bounds, areas
+
+    # Damped fixed point of S -> envelope_areas(p - beta S), full roster so
+    # eliminated companies may re-enter while the state evolves.
+    s = np.zeros(len(x))
+    s[base_active] = base_areas
+    for _ in range(10_000):
+        env_active, _, env_areas = _feedback_loop(
+            x, p - beta * s, 0.0, list(range(len(x))), lo, hi, eps_area
+        )
+        proposal = np.zeros(len(x))
+        proposal[env_active] = env_areas
+        step = float(np.max(np.abs(proposal - s)))
+        s = 0.5 * s + 0.5 * proposal
+        if 0.5 * step < eps_area:
+            break
+    else:
+        raise NoStableSurvivorSet(
+            "damped area iteration found no stable survivor set"
+        )
+    final_candidates = [k for k in range(len(x)) if s[k] > eps_area]
+    active, bounds, areas = _feedback_loop(
+        x, p, beta, final_candidates, lo, hi, eps_area
+    )
+    if _invasion(x, p, beta, active, bounds, areas, eps_price):
+        raise NoStableSurvivorSet(
+            "no ownership-consistent survivor set found"
+        )
+    return active, bounds, areas
+
+
+reference_solve_line = _solve_line
 
 
 # ---------------------------------------------------------------------------

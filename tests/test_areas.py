@@ -20,17 +20,19 @@ from marketcells import (
     wipeout_threshold,
 )
 from marketcells import areas
-from marketcells.errors import BoundaryCompany
+from marketcells.errors import BoundaryCompany, MarketCellsError
 
 from helpers import (
     aggregate_price,
     assert_same_partition,
+    brand_triple,
     jittered_lattice_2d,
     lattice_2d,
     line_scenario,
     random_line_scenario,
     random_plane_scenario,
     reference_partition_2d,
+    reference_solve_line,
     triple_q1,
 )
 
@@ -309,6 +311,124 @@ class TestDegeneracies:
         none = (np.zeros((0, 2)), np.zeros(0), window)
         assert areas._plane_piece(square, *none) == (0.0, 0.0, np.inf)
         assert areas._plane_piece(straight, *none) == (0.0, 0.0, 0.0)
+
+
+def piece_markets():
+    """The random suite's line seeds at both brand exponents, 25 price
+    draws each, and the brand triple at weights where its solves take the
+    damped fallback (0.9, 1.2) or not (0.3), 200 draws each: there an
+    outsider's invasion gap now and then ends a piece."""
+    lines = [
+        pytest.param(
+            random_line_scenario(np.random.default_rng(1000 + seed), q=q),
+            25,
+            id=f"line-q{q}-{1000 + seed}",
+        )
+        for q in (0, 1)
+        for seed in range(10)
+    ]
+    return lines + [
+        pytest.param(brand_triple(b), 200, id=f"triple-{b}") for b in (0.3, 0.9, 1.2)
+    ]
+
+
+class TestLinePiece:
+    """The parametric line solve against the one-price reference solve."""
+
+    @pytest.mark.parametrize("scn, draws", piece_markets())
+    def test_matches_the_reference_solve(self, scn, draws):
+        # same survivors and areas as the reference at random prices, and
+        # inside the piece the same survivors again, with areas on the
+        # piece's lines
+        order, xs = areas.line_layout(scn)
+        x = np.array(xs)
+        beta = scn.beta if scn.q == 1 else 0.0
+        lo, hi = scn.window.lo[0], scn.window.hi[0]
+        eps = areas.area_tolerance(scn)
+        tol = 1e-12 * (hi - lo)
+        rng = np.random.default_rng(len(order) + int(100 * beta))
+        solved = 0
+        for _ in range(draws):
+            p = rng.uniform(0.0, scn.price_upper, size=len(x))
+            focal = int(rng.integers(len(x)))
+            try:
+                ref = reference_solve_line(x, p, beta, lo, hi, eps)
+            except MarketCellsError as exc:
+                with pytest.raises(type(exc)):
+                    areas._solve_line(x, p, beta, lo, hi, eps, focal)
+                continue
+            piece = areas._solve_line(x, p, beta, lo, hi, eps, focal)
+            assert piece.active == ref[0]
+            assert np.max(np.abs(piece.areas - ref[2])) <= tol
+            assert np.max(np.abs(piece.bounds - ref[1])) <= tol
+            solved += 1
+            for t in (0.25, 0.5, 0.9, 0.999):
+                u = t * min(piece.reach, scn.price_upper)
+                moved = p.copy()
+                moved[focal] += u
+                active, _, inside = reference_solve_line(x, moved, beta, lo, hi, eps)
+                assert active == piece.active
+                assert np.max(np.abs(inside - (piece.areas + u * piece.slopes))) <= tol
+        assert solved >= 10
+
+    @pytest.mark.parametrize("scn, draws", piece_markets()[10:])  # brand feedback only
+    def test_invasion_gaps_move_on_their_lines(self, scn, draws):
+        # each outsider's gap at each boundary, recorded by the solve as
+        # an affine margin, against the gap the reference solve's state
+        # gives halfway into the piece
+        order, xs = areas.line_layout(scn)
+        x = np.array(xs)
+        lo, hi = scn.window.lo[0], scn.window.hi[0]
+        eps = areas.area_tolerance(scn)
+        tol = 1e-11 * max(1.0, (hi - lo) ** 2, scn.price_upper)
+        rng = np.random.default_rng(len(order) + 7)
+        checked = 0
+        for _ in range(draws):
+            p = rng.uniform(0.0, scn.price_upper, size=len(x))
+            focal = int(rng.integers(len(x)))
+            try:
+                piece = areas._solve_line(x, p, scn.beta, lo, hi, eps, focal)
+            except MarketCellsError:
+                continue
+            out = [k for k in range(len(x)) if k not in piece.active]
+            if piece.damped or not out:
+                continue
+            eps_price = 1e-9 * max(1.0, float(np.abs(p).max()), (hi - lo) ** 2)
+            margin, rate = piece.margins[-1].T  # the invasion decision comes last
+            u = 0.5 * min(piece.reach, scn.price_upper)
+            moved = p.copy()
+            moved[focal] += u
+            active, bounds, inside = reference_solve_line(x, moved, scn.beta, lo, hi, eps)
+            fields = (
+                moved[active, None] - scn.beta * inside[:, None]
+                + (bounds - x[active][:, None]) ** 2
+            )
+            gap = moved[out, None] + (bounds - x[out][:, None]) ** 2 - fields.min(axis=0)
+            assert np.max(np.abs(gap.ravel() - (margin - eps_price + u * rate))) <= tol
+            checked += 1
+        assert checked >= 10
+
+    def test_singularity_agrees_with_the_condition_number(self):
+        # boundary matrices near the weights where they lose rank: the
+        # generalized eigenvalues of (2 D, 2 I - T), T the off-diagonal
+        # ones, moved by relative steps from 1e-16 to 1e-1
+        rng = np.random.default_rng(13)
+        found = {True: 0, False: 0}
+        for _ in range(300):
+            d = rng.uniform(0.5, 1.5, size=int(rng.integers(1, 8)))
+            pencil = -areas._boundary_matrix(np.zeros(len(d)), 1.0)  # 2 I - T
+            roots = np.linalg.eigvals(np.linalg.solve(pencil, 2.0 * np.diag(d))).real
+            root = float(rng.choice(roots))
+            beta = root * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -1.0))
+            A = areas._boundary_matrix(d, beta)
+            cond = np.linalg.cond(A)
+            if 1e11 <= cond <= 1e13:
+                continue
+            assert areas.singular_boundaries(A) == (cond > 1e12), (d, beta, cond)
+            found[bool(cond > 1e12)] += 1
+        assert min(found.values()) >= 20, found
+        # an exactly zero eigenvalue
+        assert areas.singular_boundaries(areas._boundary_matrix(np.array([0.7]), 0.7))
 
 
 class TestPotentialCompetitors:

@@ -18,6 +18,18 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_ssl_out():
+    # the SVG writer's escaping once pulled in urllib.request, and with it
+    # ssl: about 5 MB of resident memory on every import
+    src = Path(marketcells.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, marketcells; print('ssl' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_every_export_resolves():
     missing = [name for name in marketcells.__all__ if not hasattr(marketcells, name)]
     assert missing == []

@@ -1,7 +1,6 @@
 """Profit curves, piece edges, and best responses."""
 
 import logging
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +26,8 @@ from marketcells.areas import areas_for_prices, fast_signature
 from marketcells.response import unimodality_defect
 
 from helpers import (
+    DEMOS,
+    brand_triple,
     lattice_2d,
     line_scenario,
     neighbors_at,
@@ -36,9 +37,6 @@ from helpers import (
     random_scenario,
     triple_q1,
 )
-
-DEMOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
-
 
 def flank_scenario(price_upper=4.0):
     """Focal company at the origin, frozen flanks at unit distance."""
@@ -106,11 +104,6 @@ class TestBreakpoints:
                 assert abs(w_hi - w_lo) < 1e-7 * w_scale
 
 
-def brand_triple(beta):
-    """The demo ``brand_triple`` market at brand weight ``beta``."""
-    return load_scenario((DEMOS / "brand_triple.json").read_text()).with_beta(beta)
-
-
 def ring_market_18():
     """Three free companies inside a frozen ring of eight.  The dense curve
     of company 0 once broke unimodality by 3.5e-9 relative, when profit
@@ -156,11 +149,14 @@ def plane_lattice_equilibrium():
 def curve_market(name):
     """A market and its prices by name: a random helpers market by kind at
     its own prices, ``triple-<beta>``: the demo triple, whose curves cross
-    threshold elimination and rows sent to the damped fallback, or
+    threshold elimination and rows sent to the damped fallback,
+    ``ring_market_18`` at its own prices, or
     ``plane_lattice-equilibrium``."""
     if name == "plane_lattice-equilibrium":
         return plane_lattice_equilibrium()
-    if name.startswith("triple-"):
+    if name == "ring_market_18":
+        scn = ring_market_18()
+    elif name.startswith("triple-"):
         scn = brand_triple(float(name.removeprefix("triple-")))
     else:
         scn = random_scenario(np.random.default_rng(sum(map(ord, name))), name)
@@ -186,6 +182,23 @@ class TestProfitCurve:
             assert np.max(np.abs(batch - scalar)) <= 1e-12 * scalar.max()
             _, profits = profit_curve(scn, pv, c.id, samples=1_000)
             assert np.array_equal(profits, grid * batch)
+
+    @pytest.mark.parametrize("market", ["line_q1", "ring_market_18"])
+    def test_price_order_does_not_matter(self, market):
+        # the walk sorts the prices and scatters the areas back: a reversed
+        # grid and a shuffled one with repeated prices read the sorted
+        # walk's areas to the bit
+        scn, pv = curve_market(market)
+        cid = next(c.id for c in scn.companies if not c.frozen)
+        grid = np.linspace(0.0, scn.price_upper, 2_000)
+        repeated = np.sort(np.concatenate([grid, grid[::7], grid[::7], grid[5::11]]))
+        ordered = areas_for_prices(scn, pv.as_array(), cid, repeated)
+        assert np.any(ordered > 0.0)
+        reversed_grid = areas_for_prices(scn, pv.as_array(), cid, repeated[::-1])
+        assert np.array_equal(reversed_grid, ordered[::-1])
+        shuffle = np.random.default_rng(3).permutation(len(repeated))
+        shuffled = areas_for_prices(scn, pv.as_array(), cid, repeated[shuffle])
+        assert np.array_equal(shuffled, ordered[shuffle])
 
     def test_exact_where_a_border_enters_through_the_window(self):
         # A cell only loses borders as its own price rises, unless the
@@ -385,35 +398,39 @@ class TestSolveCount:
 
 
 class TestCurveSolveCount:
-    """A dense profit curve solves each survivor set once on a line and
-    clips one cell per piece in the plane, counted by monkeypatching the
-    area module's solvers."""
+    """A dense profit curve solves once per piece of the curve, a line
+    solve on a line and a one-cell clip in the plane, counted by
+    monkeypatching the area module's solvers."""
 
-    def test_brand_line_boundary_solves(self, monkeypatch):
+    def test_brand_line_solves_once_per_piece(self, monkeypatch, caplog):
         solves = {"n": 0}
-        for name in ("_boundary_pencil", "_line_boundaries"):
-            original = getattr(areas, name)
+        solve_line = areas._solve_line
 
-            def counted(*args, _original=original):
-                solves["n"] += 1
-                return _original(*args)
+        def counted(*args):
+            solves["n"] += 1
+            return solve_line(*args)
 
-            monkeypatch.setattr(areas, name, counted)
+        monkeypatch.setattr(areas, "_solve_line", counted)
         scn = random_line_scenario(np.random.default_rng(8000), q=1)
         pv = PriceVector.from_scenario(scn)
         for c in scn.companies:
             if c.frozen:
                 continue
             solves["n"] = 0
-            profit_curve(scn, pv, c.id, samples=10_000)
-            assert 1 <= solves["n"] <= 30
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
+                profit_curve(scn, pv, c.id, samples=10_000)
+            (record,) = caplog.records
+            assert 1 <= solves["n"] == record.args[-1] <= 10
 
     @pytest.fixture
     def clipped(self, monkeypatch):
         """Own prices of the cells the area module builds half-planes for,
-        one per clip, and the count of ``clip_cell`` calls."""
+        one per clip, or of the focal company of each line solve, and the
+        count of ``clip_cell`` calls."""
         clipped = {"prices": [], "clips": 0}
         cell_planes, clip_cell = areas._cell_planes, areas.clip_cell
+        solve_sorted_line = areas._solve_sorted_line
 
         def planes(positions, weights, k):
             clipped["prices"].append(float(weights[k]))
@@ -423,8 +440,14 @@ class TestCurveSolveCount:
             clipped["clips"] += 1
             return clip_cell(*args)
 
+        def solve(scenario, values, k=None):
+            if k is not None:
+                clipped["prices"].append(float(values[k]))
+            return solve_sorted_line(scenario, values, k)
+
         monkeypatch.setattr(areas, "_cell_planes", planes)
         monkeypatch.setattr(areas, "clip_cell", clip)
+        monkeypatch.setattr(areas, "_solve_sorted_line", solve)
         return clipped
 
     @pytest.mark.parametrize("samples", [4_001, 10_000])
@@ -441,14 +464,21 @@ class TestCurveSolveCount:
         scalar = np.array([utility(scn, pv, 12, float(p))[0] for p in grid])
         assert np.max(np.abs(profits - scalar)) <= 1e-12 * scalar.max()
 
-    @pytest.mark.parametrize("market", ["ring_market_18", "plane_lattice-equilibrium"])
-    def test_clips_again_after_every_piece_edge(self, clipped, market):
-        # piece edges from a dense neighbor-set scan, not from the walk
-        if market == "ring_market_18":
-            scn = ring_market_18()
-            pv = PriceVector.from_scenario(scn)
-        else:
-            scn, pv = plane_lattice_equilibrium()
+    @pytest.mark.parametrize(
+        "market, least",
+        [
+            ("ring_market_18", 10),
+            ("plane_lattice-equilibrium", 10),
+            ("line_q1", 10),
+            ("triple-0.3", 1),
+        ],
+        ids=["ring_market_18", "plane_lattice-equilibrium", "line_q1", "triple-0.3"],
+    )
+    def test_clips_again_after_every_piece_edge(self, clipped, market, least):
+        # piece edges from a dense neighbor-set scan, not from the walk; on
+        # a line the neighbors are the flanking survivors, and the walk's
+        # solves take the place of clips
+        scn, pv = curve_market(market)
         grid = np.linspace(0.0, scn.price_upper, 10_000)
         # the scan places an edge within 1e-10 x price_upper
         slack = 1e-9 * scn.price_upper
@@ -464,7 +494,7 @@ class TestCurveSolveCount:
                 after = grid[min(np.searchsorted(grid, edge, side="right"), len(grid) - 1)]
                 assert np.any((starts > edge - slack) & (starts <= after)), edge
             edges_seen += len(edges)
-        assert edges_seen >= 10
+        assert edges_seen >= least
 
 
 class TestDerivative:
