@@ -919,15 +919,22 @@ def area_jacobian(
     scenario: Scenario, part: MarketPartition
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact price derivatives of every area and competition intensity on
-    the piece of ``part``, for ``q = 0``: ``(dS, dgamma)`` with ``dS[i, j] =
-    dS_i / dP_j`` and ``dgamma[i, j] = dgamma_i / dP_j``, over company
-    indices.
+    the piece of ``part``: ``(dS, dgamma)`` with ``dS[i, j] = dS_i / dP_j`` and
+    ``dgamma[i, j] = dgamma_i / dP_j``, over company indices.
 
-    ``dS_i / dP_j = l_ij / (2 d_ij)`` for a neighbor ``j`` and ``dS_i / dP_i
-    = -gamma_i``.  On a line every border length is 1, so ``dgamma = 0``.
-    In the plane each vertex of a cell lies on the lines ``n . x = h`` of
-    its two edges, so it moves by ``M^-1 dh`` with ``M`` stacking their
-    normals.  The bisector with company ``j`` on ``i``'s cell has ``n =
+    On a line, for either brand exponent, each price enters the boundary
+    system of the survivors (frozen and hidden ones included) as ``+1`` on
+    the left boundary of its cell and ``-1`` on the right one: one solve
+    of :func:`_boundary_matrix` against all those columns gives every
+    boundary's motion, and ``dS`` is the difference of a cell's two
+    boundaries.  With ``beta = 0`` that is ``l_ij / (2 d_ij)`` for a neighbor
+    ``j`` and ``-gamma_i`` on the diagonal, and the border lengths are 1, so
+    ``dgamma = 0``.
+
+    In the plane ``dS_i / dP_j = l_ij / (2 d_ij)`` for a neighbor ``j`` and
+    ``dS_i / dP_i = -gamma_i``.  Each vertex of a cell lies on the lines ``n .
+    x = h`` of its two edges, so it moves by ``M^-1 dh`` with ``M`` stacking
+    their normals.  The bisector with company ``j`` on ``i``'s cell has ``n =
     2 (x_j - x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1``
     per unit of ``P_i``; window edges do not move.  An edge's length moves
     by its unit direction dotted with the motion of its end over its start.
@@ -935,12 +942,31 @@ def area_jacobian(
     index = scenario.index_of
     n = len(scenario.companies)
     dS = np.zeros((n, n))
+    dgamma = np.zeros((n, n))
+    if part.dimension == 1:
+        ids = scenario.ids
+        order = [k for k in line_layout(scenario)[0] if ids[k] in part.survivors]
+        m = len(order)
+        if m > 1:
+            d = np.diff(scenario.positions[order, 0])
+            # boundary k closes slot k on the right and slot k + 1 on the left
+            rhs = np.zeros((m - 1, m))
+            k = np.arange(m - 1)
+            rhs[k, k + 1], rhs[k, k] = 1.0, -1.0
+            beta = scenario.beta if scenario.q == 1 else 0.0
+            motion = np.zeros((m + 1, m))
+            if beta == 0.0:
+                motion[1:-1] = rhs / (2.0 * d)[:, None]
+            else:
+                motion[1:-1] = np.linalg.solve(_boundary_matrix(d, beta), rhs)
+            dS[np.ix_(order, order)] = motion[1:] - motion[:-1]
+        return dS, dgamma
+
     for cid, edges in part.neighbors.items():
         i = index[cid]
         for e in edges:
             dS[i, index[e.company_id]] += e.border_length / (2.0 * e.distance)
     dS[np.diag_indices(n)] = -dS.sum(axis=1)
-    dgamma = np.zeros((n, n))
     if not part.edge_owners:
         return dS, dgamma
 

@@ -1,9 +1,10 @@
 """Equilibrium search and verification.
 
-Without brand feedback, Newton's method on the price-area identity
-``S_i = P_i gamma_i`` first brings prices to its root, and iterated best
-response then certifies it; with feedback, iterated best response alone
-drives prices to a fixed point.  Under linear
+Newton's method on the stationarity condition ``S_i + P_i dS_i/dP_i = 0``
+(the price-area identity: a company's price is its area over its
+competition intensity) first brings prices to its root, and iterated best
+response then certifies it, or takes over and hands back to Newton.  The
+same Newton method serves both brand exponents.  Under linear
 brand feedback the market may not admit a state where everyone prices
 freely: companies packed tighter than the wipe-out threshold are then
 *hidden* (parked at the price ceiling with no market) by an activation
@@ -60,6 +61,9 @@ ONE_SIDED_STEP_RTOL = 1e-6
 # Newton steps before the best-response sweeps take over from the best
 # iterate; a converging solve takes 1-2 on a line and about 5 in the plane.
 NEWTON_STEPS = 20
+# Newton runs after the first, each entered after a sweep that moved a
+# price when the run before it handed over.
+NEWTON_REENTRIES = 3
 
 
 @dataclass(frozen=True)
@@ -256,31 +260,48 @@ class _NewtonRun(NamedTuple):
     handover: str | None
 
 
+def _with_prices(prices: PriceVector, index: list[int], price: np.ndarray) -> PriceVector:
+    """``prices`` with the entries at ``index`` set to ``price``.  The other
+    entries keep their float objects, so reports that a caller keeps share
+    the prices Newton does not move (frozen and hidden companies) with
+    their input instead of holding copies."""
+    values = list(prices.values)
+    for k, v in zip(index, price.tolist()):
+        values[k] = v
+    return PriceVector(tuple(values))
+
+
 def _newton(
     scenario: Scenario, prices: PriceVector, optimizers: list[int], tol: float
 ) -> _NewtonRun:
-    """Newton's method on ``F_i(P) = S_i(P) - P_i gamma_i(P)`` over the
-    optimizers' prices, for ``q = 0``.
+    """Newton's method on the stationarity condition ``F_i(P) = S_i(P) +
+    P_i dS_i/dP_i`` over the optimizers' prices, for both brand exponents.
 
     Each step solves one partition, takes the exact Jacobian from it
-    (:func:`area_jacobian`) and solves ``J dP = -F``.  Corner contacts make
-    ``F`` only piecewise smooth, so this is semismooth Newton: neither a
-    rise of ``max|F|`` nor a change of neighbor set stops it.  It stops at
-    the point a step reaches when no price moved by more than ``tol``.  It
-    hands over its best iterate (the smallest ``max|F|``), with the reason,
-    when an optimizer holds no market, a price leaves ``[0, price_upper]``,
-    the Jacobian is singular or not finite, a partition fails, or
+    (:func:`area_jacobian`) and solves ``J dP = -F``.  The competition
+    intensity ``-dS_i/dP_i`` is ``gamma_i`` without brand feedback (``q =
+    0``), so ``F_i = S_i - P_i gamma_i``.  With it (``q = 1``, on a line) the
+    intensity is read off the diagonal of the exact ``dS``; with the
+    survivor set fixed the areas are affine in the prices, so one step
+    lands on the root of that piece.  Corner contacts, survivor changes
+    and potential competitors make ``F`` only piecewise smooth, so this is
+    semismooth Newton: neither a rise of ``max|F|`` nor a change of
+    neighbor or survivor set stops it.  It stops at the point a step
+    reaches when no price moved by more than ``tol``.  It hands over its
+    best iterate (the smallest ``max|F|``), with the reason, when an
+    optimizer holds no market, a price leaves ``[0, price_upper]``, the
+    Jacobian is singular or not finite, a partition fails, or
     ``NEWTON_STEPS`` steps have not converged.  ``moves`` counts the steps
     that moved a price by more than ``tol``; ``residuals`` holds ``max|F|``
     at each partition solved.
     """
     index = [scenario.index_of[cid] for cid in optimizers]
-    values = prices.as_array()
+    price = prices.as_array()[index]
     best, best_residual = prices, math.inf
     residuals: list[float] = []
     moves = 0
     for _ in range(NEWTON_STEPS):
-        current = PriceVector(tuple(values.tolist()))
+        current = _with_prices(prices, index, price)
         try:
             part = solve_partition(scenario, current, check_window=False)
         except MarketCellsError as exc:
@@ -288,15 +309,17 @@ def _newton(
         empty = next((cid for cid in optimizers if part.cells[cid] is None), None)
         if empty is not None:
             return _NewtonRun(best, moves, residuals, f"company {empty} holds no market")
+        d_area, d_gamma = (m[np.ix_(index, index)] for m in area_jacobian(scenario, part))
         area = np.array([part.areas[cid] for cid in optimizers])
-        gamma = np.array([part.gamma(cid) or 0.0 for cid in optimizers])
-        price = values[index]
-        residual = area - price * gamma
+        if scenario.q == 1:
+            intensity = -np.diag(d_area)
+        else:
+            intensity = np.array([part.gamma(cid) or 0.0 for cid in optimizers])
+        residual = area - price * intensity
         residuals.append(float(np.max(np.abs(residual))))
         if residuals[-1] < best_residual:
             best, best_residual = current, residuals[-1]
-        d_area, d_gamma = (m[np.ix_(index, index)] for m in area_jacobian(scenario, part))
-        jacobian = d_area - np.diag(gamma) - price[:, None] * d_gamma
+        jacobian = d_area - np.diag(intensity) - price[:, None] * d_gamma
         try:
             step = np.linalg.solve(jacobian, -residual)
         except np.linalg.LinAlgError:
@@ -306,9 +329,8 @@ def _newton(
         price = price + step
         if np.any(price < 0.0) or np.any(price > scenario.price_upper):
             return _NewtonRun(best, moves, residuals, "a price left [0, price_upper]")
-        values[index] = price
         if float(np.max(np.abs(step))) <= tol:
-            return _NewtonRun(PriceVector(tuple(values.tolist())), moves, residuals, None)
+            return _NewtonRun(_with_prices(prices, index, price), moves, residuals, None)
         moves += 1
     return _NewtonRun(best, moves, residuals, f"no convergence in {NEWTON_STEPS} steps")
 
@@ -333,16 +355,20 @@ def iterate_best_response(
     """Replace each optimizer's price with its best response until the
     largest single-sweep move drops below ``tol``.
 
-    Without brand feedback (``q = 0``) the sweeps start where Newton's
-    method on the price-area identity stops (:func:`_newton`), so they
-    normally certify its root with one sweep that moves nothing; they
-    start from its best iterate when it hands over.  ``roundrobin``
+    The sweeps start where Newton's method on the price-area identity
+    stops (:func:`_newton`, for both brand exponents; under brand feedback
+    over the companies the activation left active, the hidden ones staying
+    at the ceiling), so they normally certify its root with one sweep that
+    moves nothing.  When Newton hands over, the sweeps start from its best
+    iterate, and after each sweep that moved a price Newton runs again
+    from the swept prices, up to ``NEWTON_REENTRIES`` times, until a run
+    converges.  ``roundrobin``
     commits each best response immediately (in company-id order);
     ``simultaneous`` computes all of them against a snapshot and commits
     together, which can orbit: a two-cycle is detected and reported as
     non-convergence with the cycle attached.  ``iterations`` counts the
-    Newton steps and sweeps that moved a price by more than ``tol``, so
-    starting at an equilibrium reports zero.
+    Newton steps (of every run) and sweeps that moved a price by more than
+    ``tol``, so starting at an equilibrium reports zero.
     """
     if schedule not in ("roundrobin", "simultaneous"):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -361,14 +387,15 @@ def iterate_best_response(
             prices = prices.with_price(scenario, hid, scenario.price_upper)
         optimizers = [cid for cid in optimizers if cid not in activation.hidden]
 
-    newton = None
-    if scenario.q == 0 and optimizers:
-        newton = _newton(scenario, prices, optimizers, tol)
-        prices = newton.prices
+    # each Newton run and the sweep count at its entry
+    runs: list[tuple[_NewtonRun, int]] = []
+    if optimizers:
+        runs.append((_newton(scenario, prices, optimizers, tol), 0))
+        prices = runs[-1][0].prices
 
     history = [prices.values]
     converged = False
-    iterations = newton.moves if newton is not None else 0
+    moving = 0
     cycle = None
     for sweeps in range(1, max_iter + 1):
         prices, residual = _sweep(scenario, prices, optimizers, schedule == "simultaneous")
@@ -376,7 +403,7 @@ def iterate_best_response(
         if residual <= tol:
             converged = True
             break
-        iterations += 1
+        moving += 1
         if (
             len(history) >= 3
             and _close(history[-1], history[-3], tol)
@@ -384,16 +411,23 @@ def iterate_best_response(
         ):
             cycle = (PriceVector(history[-2]), PriceVector(history[-1]))
             break
+        if runs and runs[-1][0].handover is not None and len(runs) <= NEWTON_REENTRIES:
+            runs.append((_newton(scenario, prices, optimizers, tol), sweeps))
+            prices = runs[-1][0].prices
+            history = [prices.values]
+    iterations = moving + sum(run.moves for run, _ in runs)
 
     log = _debug_logger(__name__)
-    if log is not None and newton is not None:
-        log.debug(
-            "newton: %d steps, max|F| %s, %s, %d certificate sweeps",
-            newton.moves + (newton.handover is None),
-            "[" + ", ".join(f"{r:.2e}" for r in newton.residuals) + "]",
-            f"handed over: {newton.handover}" if newton.handover else "converged",
-            sweeps,
-        )
+    if log is not None:
+        ends = [entered for _, entered in runs[1:]] + [sweeps]
+        for (run, entered), end in zip(runs, ends):
+            log.debug(
+                "newton: %d steps, max|F| %s, %s, %d certificate sweeps",
+                run.moves + (run.handover is None),
+                "[" + ", ".join(f"{r:.2e}" for r in run.residuals) + "]",
+                f"handed over: {run.handover}" if run.handover else "converged",
+                end - entered,
+            )
 
     part, wipeout = _partition(scenario, prices)
     return EquilibriumReport(

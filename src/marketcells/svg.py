@@ -8,8 +8,6 @@ convention.
 
 from __future__ import annotations
 
-from html import escape
-
 from .areas import MarketPartition
 from .model import PriceVector, Scenario
 
@@ -64,7 +62,8 @@ def render_partition_svg(
     for c in scenario.companies:
         x, y = project(c.position)
         price = prices.price_of(scenario, c.id)
-        label = escape(f"company {c.id}: price {price:.4g}", quote=False)
+        # an integer id and a number: nothing in it needs escaping
+        label = f"company {c.id}: price {price:.4g}"
         if c.id in part.survivors:
             shape = (
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="6" '

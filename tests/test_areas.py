@@ -595,7 +595,48 @@ def jacobian_markets():
     return out
 
 
+def brand_jacobian_markets():
+    """Brand-feedback lines at their own prices: criterion 8's first four,
+    and ``brand_triple`` below and above the middle company's wipe-out
+    threshold (above it the middle company holds no market)."""
+    out = [
+        pytest.param(random_line_scenario(np.random.default_rng(8000 + k), q=1), id=f"criterion-8-{k}")
+        for k in range(4)
+    ]
+    out += [pytest.param(brand_triple(b), id=f"triple-{b}") for b in (0.5, 1.1)]
+    return out
+
+
 class TestAreaJacobian:
+    @pytest.mark.parametrize("scn", brand_jacobian_markets())
+    def test_brand_line_matches_central_differences(self, scn):
+        # with the survivor set fixed the areas are affine in every price,
+        # so central differences of separate solves differ only by roundoff
+        values = PriceVector.from_scenario(scn).as_array()
+
+        def solve(v):
+            part = solve_partition(scn, PriceVector(tuple(v)), check_window=False)
+            return part, np.array([part.areas[cid] for cid in scn.ids])
+
+        part, _ = solve(values)
+        d_area, d_gamma = areas.area_jacobian(scn, part)
+        h = 1e-5
+        numeric = np.empty_like(d_area)
+        for k in range(len(values)):
+            up, down = values.copy(), values.copy()
+            up[k] += h
+            down[k] -= h
+            (part_up, s_up), (part_down, s_down) = solve(up), solve(down)
+            assert part_up.survivors == part_down.survivors == part.survivors
+            numeric[:, k] = (s_up - s_down) / (2.0 * h)
+        assert np.max(np.abs(d_area - numeric)) <= 1e-8 * max(1.0, np.max(np.abs(d_area)))
+        assert not d_gamma.any()
+        # the feedback couples survivors that share no border, which the
+        # brand-free l / (2 d) would leave at zero
+        order = [k for k in areas.line_layout(scn)[0] if scn.ids[k] in part.survivors]
+        if len(order) >= 3:
+            assert abs(d_area[order[0], order[2]]) > 1e-3
+
     @pytest.mark.parametrize("scn, values", jacobian_markets())
     def test_matches_central_differences(self, scn, values):
         free = [k for k, c in enumerate(scn.companies) if not c.frozen]

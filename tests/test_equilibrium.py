@@ -11,6 +11,7 @@ import pytest
 from marketcells import (
     NoValidScheme,
     PriceVector,
+    SingularSystem,
     ValidationError,
     audit_unilateral_deviations,
     construct_activation,
@@ -26,12 +27,14 @@ import marketcells.equilibrium as eq_mod
 import marketcells.response as response_mod
 
 from helpers import (
+    brand_triple,
     lattice_1d,
     lattice_2d,
     line_scenario,
     own_threshold,
     random_line_scenario,
     random_plane_scenario,
+    random_scenario,
     ring_market,
     triple_q1,
 )
@@ -183,47 +186,93 @@ class TestIterate:
         assert again.iterations == 0
 
 
+def unit_line(beta: float):
+    """Five companies at unit spacing with frozen ends, prices 1, window
+    margin 0.5: the unit line of a benchmark ``brand-eq`` round."""
+    return line_scenario(range(5), [1.0] * 5, beta=beta, q=1, price_upper=5.0, margin=0.5)
+
+
 def newton_markets():
-    """The markets of criteria 1 and 2, the acceptance suite's twenty
-    random markets and the twelve rings of a benchmark ``plane-eq`` round."""
+    """Sweeps of markets, each solved warm-started from the equilibrium of
+    the one before: the markets of criteria 1, 2 and 8, the acceptance
+    suite's twenty random markets, the twelve rings of a benchmark
+    ``plane-eq`` round, ten more brand lines, ``brand_triple`` on both
+    sides of its wipe-out threshold, and the unit-line sweep of a
+    benchmark ``brand-eq`` round."""
     out = [
         pytest.param(
-            lattice_1d(n=11, endpoint_price=1.0, interior_price=0.5, price_upper=4.0),
+            (lattice_1d(n=11, endpoint_price=1.0, interior_price=0.5, price_upper=4.0),),
             id="criterion-1",
         ),
         pytest.param(
-            lattice_2d(n=7, boundary_price=0.5, interior_price=1.0, price_upper=4.0),
+            (lattice_2d(n=7, boundary_price=0.5, interior_price=1.0, price_upper=4.0),),
             id="criterion-2",
         ),
     ]
     out += [
-        pytest.param(random_line_scenario(np.random.default_rng(1000 + k), q=0), id=f"line-{k}")
+        pytest.param((random_line_scenario(np.random.default_rng(1000 + k), q=0),), id=f"line-{k}")
         for k in range(12)
     ]
     out += [
-        pytest.param(random_plane_scenario(np.random.default_rng(2000 + k)), id=f"plane-{k}")
+        pytest.param((random_plane_scenario(np.random.default_rng(2000 + k)),), id=f"plane-{k}")
         for k in range(8)
     ]
     rng = np.random.default_rng([7, 1])
-    out += [pytest.param(ring_market(rng), id=f"ring-{k}") for k in range(12)]
+    out += [pytest.param((ring_market(rng),), id=f"ring-{k}") for k in range(12)]
+    out += [
+        pytest.param(
+            (random_line_scenario(np.random.default_rng(8000 + k), q=1),), id=f"criterion-8-{k}"
+        )
+        for k in range(10)
+    ]
+    out += [
+        pytest.param(
+            (random_scenario(np.random.default_rng(k), "line_q1"),), id=f"brand-line-{k}"
+        )
+        for k in range(10)
+    ]
+    out += [
+        pytest.param((brand_triple(beta),), id=f"triple-{beta}")
+        for beta in (0.1, 0.3, 0.5, 1.1, 1.5)
+    ]
+    out.append(
+        pytest.param(tuple(unit_line(beta) for beta in (0.1, 0.2, 0.3, 0.4, 0.5)), id="unit-sweep")
+    )
     return out
 
 
+def solve_warm(markets):
+    reports, warm = [], None
+    for scn in markets:
+        reports.append(iterate_best_response(scn, init=warm))
+        warm = reports[-1].prices
+    return reports
+
+
+def newton_records(caplog):
+    return [r.getMessage() for r in caplog.records if r.getMessage().startswith("newton:")]
+
+
 def newton_record(caplog):
-    (record,) = [r for r in caplog.records if r.getMessage().startswith("newton:")]
-    return record.getMessage()
+    (message,) = newton_records(caplog)
+    return message
+
+
+def certificate_sweeps(message: str) -> int:
+    return int(message.rsplit(", ", 1)[1].split()[0])
 
 
 class TestNewton:
-    @pytest.mark.parametrize("scn", newton_markets())
-    def test_agrees_with_best_response_alone(self, scn, monkeypatch):
-        report = iterate_best_response(scn)
+    @pytest.mark.parametrize("markets", newton_markets())
+    def test_agrees_with_best_response_alone(self, markets, monkeypatch):
+        reports = solve_warm(markets)
         monkeypatch.setattr(eq_mod, "NEWTON_STEPS", 0)
-        alone = iterate_best_response(scn)
-        assert report.converged and alone.converged
-        gap = np.max(np.abs(report.prices.as_array() - alone.prices.as_array()))
-        assert gap <= eq_mod.TOL_RTOL * scn.price_upper
-        assert report.iterations <= alone.iterations
+        for scn, report, alone in zip(markets, reports, solve_warm(markets)):
+            assert report.converged and alone.converged
+            assert report.activation == alone.activation
+            gap = np.max(np.abs(report.prices.as_array() - alone.prices.as_array()))
+            assert gap <= eq_mod.TOL_RTOL * scn.price_upper
+            assert report.iterations <= alone.iterations
 
     def test_plane_lattice_takes_one_certificate_sweep(self, monkeypatch, caplog):
         scn = load_scenario((SCENARIOS / "plane_lattice.json").read_text())
@@ -248,12 +297,46 @@ class TestNewton:
         with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
             report = iterate_best_response(scn)
         assert report.converged
-        message = newton_record(caplog)
-        assert "handed over: company 2 holds no market" in message
-        sweeps = int(message.rsplit(", ", 1)[1].split()[0])
-        assert sweeps > 1
+        first, again = newton_records(caplog)
+        assert "handed over: company 2 holds no market" in first
+        assert ", converged, " in again
+        assert certificate_sweeps(first) + certificate_sweeps(again) <= 3
         monkeypatch.setattr(eq_mod, "NEWTON_STEPS", 0)
-        assert iterate_best_response(scn).prices == report.prices
+        alone = iterate_best_response(scn)
+        gap = np.max(np.abs(report.prices.as_array() - alone.prices.as_array()))
+        assert gap <= eq_mod.TOL_RTOL * scn.price_upper
+
+    def test_failed_partition_hands_over(self, monkeypatch, caplog):
+        scn = random_line_scenario(np.random.default_rng(8003), q=1)
+        reference = iterate_best_response(scn)
+
+        def singular(*args, **kwargs):
+            raise SingularSystem("boundary system is singular")
+
+        monkeypatch.setattr(eq_mod, "solve_partition", singular)
+        with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
+            report = iterate_best_response(scn)
+        assert report.converged
+        messages = newton_records(caplog)
+        assert len(messages) == 1 + eq_mod.NEWTON_REENTRIES
+        assert all("handed over: partition failed (boundary system is singular)" in m for m in messages)
+        gap = np.max(np.abs(report.prices.as_array() - reference.prices.as_array()))
+        assert gap <= eq_mod.TOL_RTOL * scn.price_upper
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_identity_holds_at_criterion_8_prices(self, seed):
+        # Newton lands on the root of the price-area identity, which the
+        # certificate sweep then leaves where it is
+        scn = random_line_scenario(np.random.default_rng(8000 + seed), q=1)
+        report = iterate_best_response(scn)
+        assert report.converged
+        checked = 0
+        for cond in report.per_company.values():
+            if cond.frozen or cond.hidden or cond.area <= 0 or cond.has_potential_competitor:
+                continue
+            assert cond.condition_residual <= 1e-12 * cond.price
+            checked += 1
+        assert checked
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_unusable_jacobian_hands_over(self, fill, monkeypatch, caplog):
@@ -271,7 +354,10 @@ class TestNewton:
         with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
             report = iterate_best_response(scn, tol=1e-10 * scn.price_upper)
         assert report.converged
-        assert "handed over: Jacobian singular or not finite" in newton_record(caplog)
+        # every entry, the re-entries too, meets the same broken Jacobian
+        messages = newton_records(caplog)
+        assert len(messages) == 1 + eq_mod.NEWTON_REENTRIES
+        assert all("handed over: Jacobian singular or not finite" in m for m in messages)
         for cid in range(1, 6):
             assert report.prices.price_of(scn, cid) == pytest.approx(1.0, abs=1e-7)
 
