@@ -362,16 +362,17 @@ class _LinePiece(NamedTuple):
     @property
     def reach(self) -> float:
         """Largest rise ``u`` of the focal price over which every ``margin +
-        rate u`` stays non-negative; 0 when a margin already is negative."""
+        rate u`` stays non-negative; 0 when a margin already is negative,
+        and unbounded when the solve made no decision (a lone company)."""
         if self.damped:
             return 0.0
-        if not self.margins:
+        if not sum(map(len, self.margins)):
             return math.inf
         m = np.concatenate(self.margins)
-        if np.any(m[:, 0] < 0.0):
+        if m[:, 0].min() < 0.0:
             return 0.0
-        falling = m[:, 1] < 0.0
-        return float(np.min(m[falling, 0] / -m[falling, 1], initial=math.inf))
+        falling = m[m[:, 1] < 0.0]
+        return float((falling[:, 0] / -falling[:, 1]).min()) if len(falling) else math.inf
 
 
 def _solve_line(
@@ -561,16 +562,6 @@ def _cell_planes(
         - float(xi @ xi)
     )
     return normals, offsets, np.flatnonzero(others)
-
-
-def focal_cell_2d(
-    scenario: Scenario,
-    weights: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Vertex loop of company ``k``'s cell; empty array if it holds none."""
-    normals, offsets, _ = _cell_planes(scenario.positions, weights, k)
-    return clip_cell(scenario.positions[k], normals, offsets, scenario.window)
 
 
 def _edge_attribution(
@@ -1134,13 +1125,17 @@ def line_layout(scenario: Scenario) -> tuple[tuple[int, ...], tuple[float, ...]]
     return tuple(order), tuple(float(scenario.positions[k, 0]) for k in order)
 
 
-class LocalSolve(NamedTuple):
-    """One company's area, its own-price slope ``dS/dP`` and the neighbor
-    set its area is piecewise polynomial in (``None`` without a cell)."""
+class AreaPiece(NamedTuple):
+    """One company's area at a price and the piece of the area curve it
+    starts: for a rise ``u`` of the own price up to ``reach`` the area is
+    ``area + slope u + curvature u^2``.  ``damped`` marks a line solve
+    settled by the damped fallback, whose piece is its own price alone."""
 
     area: float
     slope: float
-    neighbors: frozenset[int] | None
+    curvature: float
+    reach: float
+    damped: bool = False
 
 
 def _solve_sorted_line(
@@ -1171,51 +1166,37 @@ def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
     if scenario.dimension == 1:
         _, piece, slot = _solve_sorted_line(scenario, values, k)
         return float(piece.areas[slot]) if slot is not None else 0.0
-    verts = focal_cell_2d(scenario, values, k)
+    normals, offsets, _ = _cell_planes(scenario.positions, values, k)
+    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
     return loop_area(verts) if len(verts) >= 3 else 0.0
 
 
 def fast_signature(
     scenario: Scenario, values: np.ndarray, company_id: int
-) -> LocalSolve:
-    """Area, area slope and neighbor set of one company under a weight
-    vector, with no window check.
+) -> AreaPiece:
+    """:func:`fast_area` of one company under a weight vector, with the
+    piece of its area curve in the own price that starts there.
 
-    Within a piece of constant neighbor set the area is linear (1D) or
-    quadratic (2D) in the company's own price, with slope ``-gamma``: the
-    sum of ``l / (2 d)`` over the cell's bisector edges in 2D.  On a line
-    the slope is the focal price's column of the same solve of the
-    survivors' boundary system, which also carries the brand feedback
-    when ``q = 1``.
+    On a line the piece comes from the same solve of the survivors'
+    boundary system, which also carries the brand feedback when ``q = 1``:
+    the area is linear in the own price until one of the solve's
+    decisions changes (:attr:`_LinePiece.reach`).  In the plane the cell
+    keeps its half-plane normals while their offsets shift by ``-u``, so
+    its area is quadratic in ``u`` (:func:`_plane_piece`); an empty cell
+    holds no market at any higher price.
     """
     k = scenario.index_of[company_id]
     if scenario.dimension == 1:
-        order, piece, slot = _solve_sorted_line(scenario, values, k)
+        _, piece, slot = _solve_sorted_line(scenario, values, k)
         if slot is None:
-            return LocalSolve(0.0, 0.0, None)
-        active = piece.active
-        flanks = frozenset(
-            scenario.ids[order[active[s]]]
-            for s in (slot - 1, slot + 1)
-            if 0 <= s < len(active)
-        )
-        return LocalSolve(float(piece.areas[slot]), float(piece.slopes[slot]), flanks)
-    normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
+            return AreaPiece(0.0, 0.0, 0.0, piece.reach, piece.damped)
+        area, slope = float(piece.areas[slot]), float(piece.slopes[slot])
+        return AreaPiece(area, slope, 0.0, piece.reach, piece.damped)
+    normals, offsets, _ = _cell_planes(scenario.positions, values, k)
     verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
     if len(verts) < 3:
-        return LocalSolve(0.0, 0.0, None)
-    ((lengths, _, _),) = _edge_attribution(
-        verts[None], np.array([len(verts)]), normals[None], offsets[None],
-        plane_ids[None], _TIE_RTOL * max(1.0, scenario.price_upper),
-    )
-    positions = scenario.positions
-    slope = -sum(
-        seg / (2.0 * float(np.hypot(*(positions[j] - positions[k]))))
-        for j, seg in lengths.items()
-    )
-    return LocalSolve(
-        loop_area(verts), slope, frozenset(scenario.ids[j] for j in lengths)
-    )
+        return AreaPiece(0.0, 0.0, 0.0, math.inf)
+    return AreaPiece(loop_area(verts), *_plane_piece(verts, normals, offsets, scenario.window))
 
 
 # ---------------------------------------------------------------------------
@@ -1230,20 +1211,14 @@ def areas_for_prices(
 
     Everyone else keeps their ``values`` entry; only the company's own
     price moves.  One walk serves both dimensions: over the sorted
-    prices, it solves at the lowest price not yet filled, fills every
-    price up to the end of that solve's piece from the piece's area
-    model, and solves again.  A piece's first price takes the solve's own
-    area, so it is the per-price area to the bit.  On a line the model is
-    ``area + slope u`` for a price rise ``u``: with the survivor set fixed
-    the boundary system is linear (:func:`_solve_line`).  In the plane the
-    cell keeps its half-plane normals while their offsets shift by
-    ``-u``, so its area is quadratic in ``u`` (:func:`_plane_piece`), and
-    an empty cell holds no market at any higher price.
+    prices, it solves at the lowest price not yet filled
+    (:func:`fast_signature`), fills every price up to the end of that
+    solve's piece from the piece's area model, and solves again.  A
+    piece's first price takes the solve's own area, so it is the
+    per-price area to the bit.
     """
     prices = np.asarray(prices, dtype=float)
     k = scenario.index_of[company_id]
-    line = scenario.dimension == 1
-    piece_at = _line_piece_at if line else _plane_piece_at
     order = np.argsort(prices, kind="stable")
     walk = prices[order]
     areas = np.zeros(len(walk))
@@ -1251,7 +1226,7 @@ def areas_for_prices(
     i = pieces = damped = 0
     while i < len(walk):
         values[k] = walk[i]
-        area, slope, curvature, reach, alone = piece_at(scenario, values, k)
+        area, slope, curvature, reach, alone = fast_signature(scenario, values, company_id)
         pieces += 1
         damped += alone
         areas[i] = area
@@ -1263,7 +1238,7 @@ def areas_for_prices(
     out[order] = areas
     log = _debug_logger(__name__)
     if log is not None:
-        if line:
+        if scenario.dimension == 1:
             log.debug(
                 "areas_for_prices: company %s, %d prices on a line, %d solved alone "
                 "by the damped fallback, %d pieces (one line solve each)",
@@ -1278,31 +1253,6 @@ def areas_for_prices(
     return out
 
 
-def _line_piece_at(
-    scenario: Scenario, values: np.ndarray, k: int
-) -> tuple[float, float, float, float, bool]:
-    """Company ``k``'s area at ``values`` on a line, its slope and
-    curvature (0) in the own price, the piece's reach, and whether the
-    damped fallback settled it."""
-    _, piece, slot = _solve_sorted_line(scenario, values, k)
-    if slot is None:
-        return 0.0, 0.0, 0.0, piece.reach, piece.damped
-    return piece.areas[slot], piece.slopes[slot], 0.0, piece.reach, piece.damped
-
-
-def _plane_piece_at(
-    scenario: Scenario, values: np.ndarray, k: int
-) -> tuple[float, float, float, float, bool]:
-    """Company ``k``'s area at ``values`` in the plane, from the one-cell
-    clip :func:`fast_area` makes, with :func:`_plane_piece`'s model; an
-    empty cell is a piece that holds at 0 for ever."""
-    normals, offsets, _ = _cell_planes(scenario.positions, values, k)
-    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
-    if len(verts) < 3:
-        return 0.0, 0.0, 0.0, math.inf, False
-    return loop_area(verts), *_plane_piece(verts, normals, offsets, scenario.window), False
-
-
 # The window's sides as half-planes ``a . x <= b``: x >= lo, x <= hi, y >= lo,
 # y <= hi.  Their offsets do not move with any price.
 _WINDOW_NORMALS = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
@@ -1315,12 +1265,14 @@ def _plane_piece(
     company's price rises by ``u``, and the largest ``u`` that model holds.
 
     Each edge lies on the bisector or window side nearest both its ends.
-    Bisector offsets fall by ``u`` and window sides stay, so the vertex
-    on the lines of its two edges moves by ``u dv`` with ``M dv = dh``,
-    and the shoelace area of ``v + u dv`` is quadratic in ``u``.  The
-    piece ends where an edge shrinks to length 0 or a line that carries
-    no edge reaches a vertex; where two edges' lines are parallel it ends
-    at once.
+    Bisector offsets fall by ``u`` and window sides stay, so each bisector
+    edge moves inward by ``u`` over its line's norm, and ``A1`` is minus
+    the sum of edge length over norm.  The vertex on the lines of its two
+    edges moves by ``u dv`` with ``M dv = dh``, and the shoelace area of
+    ``v + u dv`` has ``u^2`` coefficient ``A2``.  The piece ends where an
+    edge shrinks to length 0 or a line that carries no edge reaches a
+    vertex; where two edges' lines are (nearly) parallel it ends at once,
+    with ``A1`` still exact and ``A2 = 0``.
     """
     lines = np.vstack([normals, _WINDOW_NORMALS])
     (x0, y0), (x1, y1) = window.lo, window.hi
@@ -1330,19 +1282,19 @@ def _plane_piece(
     gaps = (heights - verts @ lines.T) / norms
     # edge i runs from vertex i to vertex i + 1
     edge = np.argmin(np.abs(gaps) + np.abs(np.roll(gaps, -1, axis=0)), axis=1)
+    side = np.roll(verts, -1, axis=0) - verts
+    slope = float(np.sum(np.hypot(side[:, 0], side[:, 1]) * rates[edge] / norms[edge]))
     before = np.roll(edge, 1)
     a, b = lines[before], lines[edge]
     det = _cross(a, b)
     if np.any(np.abs(det) <= EPS_GEOM * norms[before] * norms[edge]):
-        return 0.0, 0.0, 0.0
+        return slope, 0.0, 0.0
     ra, rb = rates[before], rates[edge]
     dv = np.stack([b[:, 1] * ra - a[:, 1] * rb, a[:, 0] * rb - b[:, 0] * ra], axis=1)
     dv /= det[:, None]
-    v = verts - verts[0]
-    v_next, dv_next = np.roll(v, -1, axis=0), np.roll(dv, -1, axis=0)
-    slope = 0.5 * float(np.sum(_cross(v, dv_next)) + np.sum(_cross(dv, v_next)))
+    dv_next = np.roll(dv, -1, axis=0)
     curvature = 0.5 * float(np.sum(_cross(dv, dv_next)))
-    side, dside = v_next - v, dv_next - dv
+    dside = dv_next - dv
     shrink = np.sum(side * dside, axis=1)
     shrinking = shrink < 0.0
     ends = [-np.sum(side * side, axis=1)[shrinking] / shrink[shrinking]]

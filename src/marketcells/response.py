@@ -1,14 +1,14 @@
 """Profit evaluation and best responses.
 
-A company's profit ``W(P) = P * S(P)`` is piecewise smooth: within a
-stretch of prices where its neighbor set stays put, the area is linear
-(1D) or quadratic (2D) in the price, with slope ``dS/dP = -gamma``, and
-pieces join continuously where a border shrinks to nothing.  The best
-response walks that structure with a safeguarded Newton iteration on
-``W'(P) = S + P * S'``: every area solve also returns the exact slope, the
-next trial price is the vertex of ``P * S(P)`` under the exact area model
-of the latest piece, and a bracket on the sign of ``W'`` falls back to
-bisection when that vertex leaves it.
+A company's profit ``W(P) = P * S(P)`` is piecewise smooth: each area
+solve returns the piece of ``S`` that starts at its price, linear on a
+line and quadratic in the plane, and pieces join where a neighbor set
+changes or a company is wiped out.  The best response walks those pieces
+with a safeguarded Newton iteration on ``W'(P) = S + P * S'``: the next
+trial price is the root of ``W'`` under the latest solve's exact piece,
+a piece along which ``W'`` stays positive sends the walk to the piece's
+end, and a bracket on the sign of ``W'`` falls back to bisection when a
+root leaves it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .areas import (
-    LocalSolve,
+    AreaPiece,
     area_tolerance,
     areas_for_prices,
     fast_area,
@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 # The best-response walk accepts a price where |W'| is this small relative
-# to S + P |S'|, and stops at a kink or a wipe-out jump once its bracket
-# is this narrow relative to the price ceiling.
+# to S + P |S'|.  It steps this far, relative to the price ceiling, past
+# the end of a piece to reach the next one, and stops once its bracket is
+# this narrow.
 STATIONARY_RTOL = 1e-11
 BRACKET_RTOL = 1e-12
 _MAX_STEPS = 100
@@ -142,9 +143,9 @@ def best_response(
     eps = area_tolerance(scenario)
     values = prices.as_array()
     k = scenario.index_of[company_id]
-    solved: dict[float, LocalSolve] = {}
+    solved: dict[float, AreaPiece] = {}
 
-    def solve(price: float) -> LocalSolve:
+    def solve(price: float) -> AreaPiece:
         if price not in solved:
             values[k] = price
             solved[price] = fast_signature(scenario, values, company_id)
@@ -153,7 +154,7 @@ def best_response(
     if solve(0.0).area <= eps:
         return BestResponse(upper, 0.0, True)
 
-    ends = _walk(solve, prices.values[k], upper, eps, curved=scenario.dimension == 2)
+    ends = _walk(solve, prices.values[k], upper, eps)
     best_price, best_profit = 0.0, -np.inf
     for price in sorted({0.0, upper, *ends}):
         w = price * solve(price).area
@@ -164,71 +165,80 @@ def best_response(
     return BestResponse(best_price, best_profit, False)
 
 
-def _profit_slope(price: float, at: LocalSolve, eps: float) -> float:
+def _profit_slope(price: float, at: AreaPiece, eps: float) -> float:
     """``W'(P) = S + P * S'``; a company without market counts as falling."""
     return at.area + price * at.slope if at.area > eps else -math.inf
 
 
 def _walk(
-    solve: Callable[[float], LocalSolve],
+    solve: Callable[[float], AreaPiece],
     start: float,
     upper: float,
     eps: float,
-    curved: bool,
 ) -> list[float]:
     """Prices at the maximum of ``W`` on ``[0, upper]``.
 
     Keeps a bracket ``[lo, hi]`` with ``W'(lo) > 0 >= W'(hi)`` and steps to
-    the vertex of ``P * S(P)`` under the exact area model of the latest
-    solve's piece: linear from one solve, plus (in 2D) the curvature from
-    the slopes of two solves with the same neighbor set.  A vertex outside
-    the bracket, or a step longer than half the step before last, means
-    bisection.  Returns the stationary price, or the ends of a bracket
-    narrowed to ``BRACKET_RTOL * upper`` around a kink or a wipe-out jump.
+    the root of ``W'`` under the area model of the latest solve's piece.
+    When that solve is ``lo``, the model is exact up to the piece's end:
+    the walk takes its root, or, where ``W'`` stays positive over the
+    whole piece, steps ``BRACKET_RTOL * upper`` past the end, since a
+    solve at the end itself may still return the piece.  Once that step
+    reaches ``hi``, the maximum is the kink or wipe-out jump at the
+    piece's end.  A solve there may fall on either side of a jump, so the
+    walk returns the price ``BRACKET_RTOL * upper`` before the end, which
+    lies on the piece, and ``hi``.  Any other root extrapolates, as does
+    that of a damped line solve, whose piece is its own price alone: a
+    step longer than half the step before last means bisection, as does
+    a root outside the bracket.  Otherwise the walk returns the
+    stationary price, or the ends of a bracket narrowed to
+    ``BRACKET_RTOL * upper``.
     """
     if _profit_slope(upper, solve(upper), eps) >= 0.0:
         return [upper]
+    past = BRACKET_RTOL * upper
     lo, hi = 0.0, upper
     last_price, last = 0.0, solve(0.0)
-    curvature = 0.0
+    low = last
     price = start if lo < start < hi else 0.5 * upper
     step, previous_step = math.inf, math.inf
     for _ in range(_MAX_STEPS):
         at = solve(price)
         g = _profit_slope(price, at, eps)
         if g > 0.0:
-            lo = price
+            lo, low = price, at
         else:
             hi = price
         if at.area > eps:
             if abs(g) <= STATIONARY_RTOL * (at.area - price * at.slope):
                 return [price]
-            curvature = (
-                (at.slope - last.slope) / (price - last_price)
-                if curved and at.neighbors == last.neighbors
-                else 0.0
-            )
             last_price, last = price, at
-        if hi - lo <= BRACKET_RTOL * upper:
+        if hi - lo <= past:
             return [lo, hi]
-        proposal = _model_vertex(last_price, last, curvature)
-        if not (lo < proposal < hi and abs(proposal - price) <= 0.5 * previous_step):
+        end = lo + low.reach
+        rising = low.reach > 0.0 and not _model_root(lo, low) <= end
+        if rising and end + past >= hi:
+            return [max(lo, end - past), hi]
+        proposal = _model_root(last_price, last)
+        if g > 0.0 and low.reach > 0.0:
+            # exact on the piece just solved: its root, or the next piece
+            if rising:
+                proposal = end + past
+        elif not abs(proposal - price) <= 0.5 * previous_step:
+            proposal = math.nan
+        if not lo < proposal < hi:
             proposal = 0.5 * (lo + hi)
         step, previous_step = abs(proposal - price), step
         price = proposal
     return [lo, hi]
 
 
-def _model_vertex(price: float, at: LocalSolve, curvature: float) -> float:
-    """Root nearest ``price`` of ``W'`` under the area model
-    ``S(price + u) = S + S' u + curvature u^2 / 2``, where
-    ``W'(price + u) = g + b u + 1.5 curvature u^2``; NaN when the model
-    profit is not concave there."""
+def _model_root(price: float, at: AreaPiece) -> float:
+    """Root nearest ``price``, on the side ``W'`` points to, of ``W'``
+    under the piece's area model ``S(price + u) = S + S' u + c u^2``,
+    where ``W'(price + u) = g + b u + 3 c u^2``; NaN when it has none."""
     g = at.area + price * at.slope
-    b = 2.0 * at.slope + price * curvature
-    if not b < 0.0:
-        return math.nan
-    disc = b * b - 6.0 * curvature * g
-    if disc < 0.0:
-        return price - g / b
-    return price + 2.0 * g / (math.sqrt(disc) - b)
+    b = 2.0 * (at.slope + price * at.curvature)
+    disc = b * b - 12.0 * at.curvature * g
+    denominator = math.sqrt(disc) - b if disc >= 0.0 else 0.0
+    return price + 2.0 * g / denominator if denominator > 0.0 else math.nan

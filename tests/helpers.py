@@ -24,7 +24,6 @@ from marketcells.areas import (
     _cell_planes,
     _singular_message,
     area_tolerance,
-    fast_signature,
     line_thresholds,
 )
 from marketcells.errors import (
@@ -538,9 +537,34 @@ reference_solve_line = _solve_line
 
 
 def neighbors_at(scenario: Scenario, prices: PriceVector, cid: int, price: float):
-    """Neighbor set of ``cid`` when it alone moves to ``price``."""
+    """Neighbor set of ``cid`` when it alone moves to ``price``, ``None``
+    without a market, built without the area module's piece kernel: in
+    the plane the companies whose bisectors carry an edge of the one-cell
+    clip (:func:`reference_edges`), on a line the flanking survivors of
+    :func:`reference_solve_line`."""
     values = prices.with_price(scenario, cid, price).as_array()
-    return fast_signature(scenario, values, cid).neighbors
+    k = scenario.index_of[cid]
+    if scenario.dimension == 2:
+        normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
+        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+        if len(verts) < 3:
+            return None
+        tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
+        lengths, _ = reference_edges(verts, normals, offsets, plane_ids, tie_tol)
+        return frozenset(scenario.ids[j] for j in lengths)
+    order = np.argsort(scenario.positions[:, 0], kind="stable")
+    active, _, _ = reference_solve_line(
+        scenario.positions[order, 0], values[order],
+        scenario.beta if scenario.q == 1 else 0.0,
+        scenario.window.lo[0], scenario.window.hi[0], area_tolerance(scenario),
+    )
+    survivors = [int(order[a]) for a in active]
+    if k not in survivors:
+        return None
+    s = survivors.index(k)
+    return frozenset(
+        scenario.ids[survivors[t]] for t in (s - 1, s + 1) if 0 <= t < len(survivors)
+    )
 
 
 def piece_edges(

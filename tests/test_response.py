@@ -225,6 +225,15 @@ class TestProfitCurve:
         scalar = np.array([utility(scn, pv, 0, float(p))[1] for p in grid])
         assert np.max(np.abs(batch - scalar)) <= 1e-12 * scalar.max()
 
+    def test_lone_company_on_a_brand_line(self):
+        # a lone company's line solve makes no decision, so its piece holds
+        # at every price and its area is the whole window
+        scn = line_scenario([0.0], [1.0], frozen=[True], beta=0.7, q=1, margin=1.0)
+        pv = PriceVector.from_scenario(scn)
+        assert fast_signature(scn, pv.as_array(), 0).reach == np.inf
+        grid, profits = profit_curve(scn, pv, 0, samples=100)
+        assert np.array_equal(profits, 2.0 * grid)
+
     def test_ring_market_curve_is_unimodal(self):
         scn = ring_market_18()
         _, profits = profit_curve(scn, PriceVector.from_scenario(scn), 0, samples=10_000)
@@ -337,6 +346,33 @@ class TestBestResponse:
             _, profits = profit_curve(scn, pv, c.id, samples=10_000)
             assert profits.max() - br.profit <= 1e-6 * max(br.profit, 1e-12)
 
+    @pytest.mark.parametrize("beta", [0.55, 0.6])
+    def test_same_profit_from_every_start_across_a_jump(self, beta):
+        # The middle company of brand_triple earns most just before a
+        # wipe-out jump, past which its profit drops by about 2e-9 relative.
+        # A solve at the jump may land on either side of it, so from every
+        # start the walk must end on the near side.
+        scn = brand_triple(beta)
+        pv = PriceVector.from_scenario(scn)
+        profits = [
+            best_response(scn, pv.with_price(scn, 1, float(start)), 1).profit
+            for start in np.linspace(0.05, 4.95, 50)
+        ]
+        assert max(profits) - min(profits) <= 1e-10 * max(profits)
+
+    @pytest.mark.parametrize("beta", [0.7, 0.9])
+    def test_walks_through_damped_pieces(self, beta):
+        # From price 0.25 the middle company's solves fall to the line
+        # solve's damped fallback, whose piece is its own price alone.  A
+        # walk stepping to the end of such a piece crawls by
+        # BRACKET_RTOL * price_upper and stops near its start.
+        scn = brand_triple(beta)
+        pv = PriceVector.from_scenario(scn).with_price(scn, 1, 0.25)
+        br = best_response(scn, pv, 1)
+        # each damped price is a piece of its own, so the scan stays short
+        _, profits = profit_curve(scn, pv, 1, samples=1_000)
+        assert profits.max() - br.profit <= 1e-6 * br.profit
+
     def test_profit_consistent_with_fresh_solve(self):
         scn = flank_scenario()
         pv = PriceVector.from_scenario(scn)
@@ -395,6 +431,28 @@ class TestSolveCount:
         report = iterate_best_response(scn)
         assert report.converged
         assert counter["solves"] <= 12 * counter["responses"]
+
+    def test_kinks_take_few_solves(self, counter):
+        # The walk steps to the end of a piece along which W' stays
+        # positive instead of bisecting the kink there.  Bisecting took 38
+        # to 43 solves on 130 of these responses.  The dense scan is
+        # independent of the walk.
+        worst = 0
+        for kind, markets in (("line_q1", 60), ("line", 60), ("plane", 20)):
+            for seed in range(markets):
+                scn = random_scenario(np.random.default_rng(seed), kind)
+                pv = PriceVector.from_scenario(scn)
+                for c in scn.companies:
+                    if c.frozen:
+                        continue
+                    _, profits = profit_curve(scn, pv, c.id, samples=10_000)
+                    own = pv.price_of(scn, c.id)
+                    for start in (own, 1.3 * own):
+                        counter["solves"] = 0
+                        br = best_response(scn, pv.with_price(scn, c.id, start), c.id)
+                        worst = max(worst, counter["solves"])
+                        assert profits.max() - br.profit <= 1e-6 * max(br.profit, 1e-12)
+        assert worst <= 12
 
 
 class TestCurveSolveCount:
@@ -486,7 +544,7 @@ class TestCurveSolveCount:
         for c in scn.companies:
             if c.frozen:
                 continue
-            edges = piece_edges(scn, pv, c.id)
+            edges = np.array(piece_edges(scn, pv, c.id))
             clipped["prices"].clear()
             areas_for_prices(scn, pv.as_array(), c.id, grid)
             starts = np.array(clipped["prices"])
@@ -494,6 +552,15 @@ class TestCurveSolveCount:
                 after = grid[min(np.searchsorted(grid, edge, side="right"), len(grid) - 1)]
                 assert np.any((starts > edge - slack) & (starts <= after)), edge
             edges_seen += len(edges)
+            # and no piece a solve returns holds across an edge.  The scan
+            # drops a border once clip_cell merges its two ends, before it
+            # shrinks to nothing: up to 4.5e-9 x price_upper before the
+            # piece ends on these markets.
+            for start in starts.tolist():
+                values = pv.with_price(scn, c.id, start).as_array()
+                reach = fast_signature(scn, values, c.id).reach
+                inside = (edges > start + slack) & (edges < start + reach - 10.0 * slack)
+                assert not np.any(inside), (start, reach, edges[inside])
         assert edges_seen >= least
 
 
@@ -520,12 +587,66 @@ class TestDerivative:
             if c.frozen:
                 continue
             for p in rng.uniform(0.2, 1.8, size=5):
-                at = fast_signature(scn, pv.with_price(scn, c.id, p).as_array(), c.id)
-                if at.neighbors is None or any(
-                    neighbors_at(scn, pv, c.id, q) != at.neighbors for q in (p - h, p + h)
+                near = neighbors_at(scn, pv, c.id, p)
+                if near is None or any(
+                    neighbors_at(scn, pv, c.id, q) != near for q in (p - h, p + h)
                 ):
                     continue  # no cell, or the probe straddles a breakpoint
+                at = fast_signature(scn, pv.with_price(scn, c.id, p).as_array(), c.id)
                 fd = (utility(scn, pv, c.id, p + h)[1] - utility(scn, pv, c.id, p - h)[1]) / (2 * h)
                 assert fd == pytest.approx(at.slope, rel=1e-6)
                 probes += 1
         assert probes >= 5
+
+    def test_plane_slope_where_two_edges_are_nearly_parallel(self):
+        # companies 1 and 2 lie 1e-10 off one ray from company 0, and
+        # company 2's price puts both borders through (0.5, 0.6): the top
+        # of the cell bends by 2.5e-10 rad there.  The piece's curvature
+        # is not resolved and it ends at once, but its slope is still the
+        # area's derivative, and the walk still finds the best price.
+        scn = Scenario(
+            dimension=2,
+            beta=0.0,
+            q=0,
+            companies=(
+                Company(0, (0.5, 0.5), 1.0, False),
+                Company(1, (0.5, 0.7), 1.0, True),
+                Company(2, (0.5 + 1e-10, 0.9), 0.92, True),
+            ),
+            focal_box_half=1.0,
+            price_upper=3.0,
+            window=Box((0.0, 0.0), (1.0, 1.0)),
+        )
+        pv = PriceVector.from_scenario(scn)
+        at = fast_signature(scn, pv.as_array(), 0)
+        assert at.reach == 0.0
+        h = 1e-4
+        fd = (utility(scn, pv, 0, 1.0 + h)[1] - utility(scn, pv, 0, 1.0 - h)[1]) / (2 * h)
+        assert at.slope == pytest.approx(fd, rel=1e-9)
+        assert at.slope == pytest.approx(-(0.5 / 0.4 + 0.5 / 0.8), rel=1e-9)
+        _, profits = profit_curve(scn, pv, 0, samples=10_000)
+        assert best_response(scn, pv, 0).profit >= profits.max() * (1.0 - 1e-6)
+
+    def test_plane_curvature_matches_second_difference(self):
+        # inside a piece the cell's area is quadratic in the own price, so
+        # a second central difference of per-price areas reads twice the
+        # piece's u^2 coefficient up to roundoff
+        probes = 0
+        for seed in range(10):
+            rng = np.random.default_rng(500 + seed)
+            scn = random_scenario(rng, "plane")
+            pv = PriceVector.from_scenario(scn)
+            h = 1e-3 * scn.price_upper
+            for c in scn.companies:
+                if c.frozen:
+                    continue
+                for p in rng.uniform(0.2, 1.8, size=5):
+                    near = [neighbors_at(scn, pv, c.id, q) for q in (p - h, p, p + h)]
+                    if near[1] is None or near.count(near[1]) < 3:
+                        continue  # no cell, or the probes straddle a piece edge
+                    at = fast_signature(scn, pv.with_price(scn, c.id, p).as_array(), c.id)
+                    s_lo, s_mid, s_hi = (utility(scn, pv, c.id, q)[1] for q in (p - h, p, p + h))
+                    second = (s_hi - 2.0 * s_mid + s_lo) / h**2
+                    assert second == pytest.approx(2.0 * at.curvature, rel=1e-6, abs=1e-9)
+                    probes += 1
+        assert probes >= 100
