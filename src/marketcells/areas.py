@@ -541,29 +541,6 @@ def _partition_1d(
 # ---------------------------------------------------------------------------
 
 
-def _cell_planes(
-    positions: np.ndarray, weights: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Half-plane family of company ``k`` against everyone else.
-
-    The gap ``b_j - a_j . x`` equals the aggregate-price difference
-    between company ``j`` and company ``k`` at ``x``.  ``weights`` may
-    carry a leading axis of weight vectors; the offsets then have one row
-    per vector, over the same normals.
-    """
-    others = np.arange(len(positions)) != k
-    xo = positions[others]
-    xi = positions[k]
-    normals = 2.0 * (xo - xi)
-    offsets = (
-        weights[..., others]
-        - weights[..., k, None]
-        + np.einsum("ij,ij->i", xo, xo)
-        - float(xi @ xi)
-    )
-    return normals, offsets, np.flatnonzero(others)
-
-
 def _edge_attribution(
     verts: np.ndarray,
     counts: np.ndarray,
@@ -656,51 +633,28 @@ def _block_rows(companies: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_ELEMENTS // companies))
 
 
-def _every_bisector(
-    scenario: Scenario, weights: np.ndarray, owners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row ``r``'s half-planes against every company but ``owners[r]``,
-    built and ordered as :func:`clip_cell` gets and orders them: by
-    boundary distance, then by company index.  Returns the companies,
-    normals, offsets and distances, one row each."""
-    rows = []
-    for k in owners.tolist():
-        normals, offsets, planes = _cell_planes(scenario.positions, weights, k)
-        t = (offsets - normals @ scenario.positions[k]) / np.hypot(*normals.T)
-        order = np.argsort(t, kind="stable")
-        rows.append((planes[order], normals[order], offsets[order], t[order]))
-    return tuple(np.stack(column) for column in zip(*rows))
+def _bisectors(
+    positions: np.ndarray, weights: np.ndarray, owners: np.ndarray, nearest: int | None = None
+) -> tuple[np.ndarray, ...]:
+    """Row ``r``: company ``k = owners[r]``'s bisectors in the partition at
+    ``weights``, in cut order, its ``nearest`` nearest or all of them.
 
-
-def _clip_nearest(
-    scenario: Scenario,
-    weights: np.ndarray,
-    owners: np.ndarray,
-    tie_tol: float,
-) -> _NearestClip:
-    """Row ``r``: company ``owners[r]``'s cell in the partition at
-    ``weights``, as :func:`clip_cell` cuts it.
-
-    Each row cuts with its ``_NEAREST`` nearest bisectors, taken in the
-    order :func:`clip_cell` uses: by the distance of the boundary from the
-    company, then by company index.  A row is cut again with every
-    bisector, in that order, when (reach) its next bisector still lies
-    within its farthest vertex plus the clip tolerance, so the scalar
-    clip would cut with it, or (tie) a bisector outside its nearest ones
-    comes within ``tie_tol`` of a vertex, where :func:`_edge_attribution`
-    records a tie.  Consecutive vertices within the merge tolerance then
-    merge as in :func:`clip_cell`, and a row left with under three
-    vertices holds no cell.  The nearest-bisector pass builds ``(rows x companies)`` arrays
-    only, never a normal per row and company; the rows cut again hold
-    one normal per company.
+    Company ``j``'s half-plane ``a . x <= b`` holds where ``k``'s
+    aggregate price is at most ``j``'s; its boundary lies at distance
+    ``(|x_j - x_k|^2 + w_j - w_k) / (2 |x_j - x_k|)`` from ``x_k``.  Cut
+    order is by that distance, then by company index.  Returns
+    ``(companies, normals, offsets, dists, rest, norms)``: the first four
+    hold the bisectors taken, one row per owner; ``rest`` and ``norms``
+    are ``(rows x companies)``, the distance of every bisector not taken
+    (``inf`` for those taken and for the owner) and the norm of every
+    normal.  Only the bisectors taken get normals.
     """
-    positions = scenario.positions
     rows, n = len(owners), len(positions)
     anchors = positions[owners]
     own = weights[owners]
     index = np.arange(rows)
-    # Boundary of company j's bisector at distance (w_j - w_k + d^2) / 2d,
-    # computed in place: three (rows x companies) arrays at most.
+    row = index[:, None]
+    # three (rows x companies) arrays at most, computed in place
     dx = positions[:, 0] - anchors[:, 0, None]
     dy = positions[:, 1] - anchors[:, 1, None]
     dist = np.multiply(dx, dx, out=dx)
@@ -712,42 +666,69 @@ def _clip_nearest(
     dist[index, owners] = np.inf
     norms[index, owners] = 1.0
     dist /= norms
-    row = index[:, None]
-    if n - 1 <= _NEAREST:
-        # every bisector is near; the company itself sorts last
+    if nearest is None or n - 1 <= nearest:
+        # the company itself sorts last
         planes = np.argsort(dist, axis=1, kind="stable")[:, : n - 1]
-        beyond = np.full(rows, np.inf)
     else:
-        split = np.argpartition(dist, _NEAREST, axis=1)
-        beyond = dist[index, split[:, _NEAREST]]
-        near = np.sort(split[:, :_NEAREST], axis=1)
-        del split
+        near = np.sort(np.argpartition(dist, nearest, axis=1)[:, :nearest], axis=1)
         planes = near[row, np.argsort(dist[row, near], axis=1, kind="stable")]
-    plane_dist = dist[row, planes]
+    dists = dist[row, planes]
+    dist[row, planes] = np.inf
     others = positions[planes]
     normals = 2.0 * (others - anchors[:, None, :])
     offsets = (
-        weights[planes] - own[:, None] + np.einsum("rmi,rmi->rm", others, others)
-        - np.einsum("ri,ri->r", anchors, anchors)[:, None]
+        weights[planes] - own[:, None] + _squares(others)
+        - _squares(anchors)[:, None]
     )
-    verts, counts, reach, passes = clip_cells(
-        anchors, normals, offsets, plane_dist, scenario.window
+    return planes, normals, offsets, dists, dist, norms
+
+
+def _squares(points: np.ndarray) -> np.ndarray:
+    """``|x|^2`` of each point along the last axis."""
+    return points[..., 0] * points[..., 0] + points[..., 1] * points[..., 1]
+
+
+def _clip_nearest(
+    scenario: Scenario,
+    weights: np.ndarray,
+    owners: np.ndarray,
+    tie_tol: float,
+) -> _NearestClip:
+    """Row ``r``: company ``owners[r]``'s cell in the partition at
+    ``weights``, as :func:`clip_cell` cuts it, to the bit.
+
+    Each row cuts with its ``_NEAREST`` nearest :func:`_bisectors`.  A
+    row is cut again with every bisector when (reach) its next bisector
+    still lies within its farthest vertex plus the clip tolerance, so the
+    one-cell clip would cut with it, or (tie) a bisector outside its
+    nearest ones comes within ``tie_tol`` of a vertex, where
+    :func:`_edge_attribution` records a tie.  Consecutive vertices within
+    the merge tolerance then merge as in :func:`clip_cell`, and a row
+    left with under three vertices holds no cell.  The nearest-bisector
+    pass builds ``(rows x companies)`` arrays only, never a normal per
+    row and company; the rows cut again hold one normal per company.
+    """
+    window = scenario.window
+    rows = len(owners)
+    anchors = scenario.positions[owners]
+    planes, normals, offsets, dists, rest, norms = _bisectors(
+        scenario.positions, weights, owners, _NEAREST
     )
-    tol = EPS_GEOM * max(1.0, scenario.window.diameter)
+    verts, counts, reach, passes = clip_cells(anchors, normals, offsets, dists, window)
+    tol = EPS_GEOM * max(1.0, window.diameter)
     cell = counts >= 3
-    reached = cell & (beyond < reach + tol)
+    reached = cell & (rest.min(axis=1) < reach + tol)
     # Price gap of a bisector at any vertex is at least |a_j| (t_j - reach).
-    floor = dist - reach[:, None]
-    floor *= norms
-    floor[row, planes] = np.inf
-    tied = cell & ~reached & np.any(floor <= tie_tol, axis=1)
+    rest -= reach[:, None]
+    rest *= norms
+    tied = cell & ~reached & np.any(rest <= tie_tol, axis=1)
     recut = np.flatnonzero(reached | tied)
     if len(recut):
-        wide, wide_normals, wide_offsets, t = _every_bisector(
-            scenario, weights, owners[recut]
+        wide, wide_normals, wide_offsets, wide_dists, _, _ = _bisectors(
+            scenario.positions, weights, owners[recut]
         )
         cut, cut_counts, _, cut_passes = clip_cells(
-            anchors[recut], wide_normals, wide_offsets, t, scenario.window
+            anchors[recut], wide_normals, wide_offsets, wide_dists, window
         )
         passes += cut_passes
         if cut.shape[1] > verts.shape[1]:
@@ -759,11 +740,8 @@ def _clip_nearest(
     counts[counts < 3] = 0
     area, lengths = loop_measures(verts, counts)
     close = (counts > 0) & np.any(lengths <= tol, axis=1)
-    # Rows cut again or merged take the scalar clip's last steps as it
-    # takes them: the merge, then the area of the merged loop.
-    settle = close.copy()
-    settle[recut] = counts[recut] > 0
-    for r in np.flatnonzero(settle).tolist():
+    # Rows with close vertices take the one-cell clip's merge.
+    for r in np.flatnonzero(close).tolist():
         loop = merge_close_vertices(verts[r, : counts[r]], tol)
         counts[r] = len(loop) if len(loop) >= 3 else 0
         verts[r, : counts[r]] = loop[: counts[r]]
@@ -1166,8 +1144,7 @@ def fast_area(scenario: Scenario, values: np.ndarray, company_id: int) -> float:
     if scenario.dimension == 1:
         _, piece, slot = _solve_sorted_line(scenario, values, k)
         return float(piece.areas[slot]) if slot is not None else 0.0
-    normals, offsets, _ = _cell_planes(scenario.positions, values, k)
-    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+    verts, _, _ = _plane_cell(scenario, values, k)
     return loop_area(verts) if len(verts) >= 3 else 0.0
 
 
@@ -1192,11 +1169,20 @@ def fast_signature(
             return AreaPiece(0.0, 0.0, 0.0, piece.reach, piece.damped)
         area, slope = float(piece.areas[slot]), float(piece.slopes[slot])
         return AreaPiece(area, slope, 0.0, piece.reach, piece.damped)
-    normals, offsets, _ = _cell_planes(scenario.positions, values, k)
-    verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+    verts, normals, offsets = _plane_cell(scenario, values, k)
     if len(verts) < 3:
         return AreaPiece(0.0, 0.0, 0.0, math.inf)
     return AreaPiece(loop_area(verts), *_plane_piece(verts, normals, offsets, scenario.window))
+
+
+def _plane_cell(
+    scenario: Scenario, values: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Company ``k``'s cell by the one-cell clip, cut by all its
+    :func:`_bisectors` in order, with their normals and offsets."""
+    _, normals, offsets, dists, _, _ = _bisectors(scenario.positions, values, np.array([k]))
+    verts = clip_cell(scenario.positions[k], normals[0], offsets[0], dists[0], scenario.window)
+    return verts, normals[0], offsets[0]
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def _price_vector(scenario: Scenario, doc, where: str) -> PriceVector:
         raise SchemaError(f"{where}: prices must be a JSON object of id to price")
     try:
         mapping = {int(k): float(v) for k, v in doc.items()}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: prices must map integer ids to numbers") from exc
     return PriceVector.from_mapping(scenario, mapping)
 
@@ -205,6 +205,7 @@ def _cmd_cells(args) -> int:
 def _cmd_best_response(args) -> int:
     scenario = _read_scenario(args.scenario)
     prices = _prices_from(scenario, args.prices)
+    prices.check_against(scenario)
     br = best_response(scenario, prices, args.company)
     _dump(dataclasses.asdict(br) | {"company": args.company}, args.out)
     return EXIT_OK
@@ -349,6 +350,7 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     scenario = _read_scenario(args.scenario)
     prices = _prices_from(scenario, args.prices)
+    prices.check_against(scenario)
     part = solve_partition(scenario, prices)
     _emit(render_partition_svg(scenario, prices, part), args.out)
     return EXIT_OK

@@ -79,8 +79,9 @@ class ConvexPolygon:
 
 
 def clip_by_halfplane(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """One Sutherland-Hodgman pass; returns the clipped vertex loop."""
-    s = verts @ a - b
+    """One Sutherland-Hodgman pass; returns the clipped vertex loop.  Each
+    vertex's side is :func:`_clip_rows`'s expression, to the bit."""
+    s = verts[:, 0] * a[0] + verts[:, 1] * a[1] - b
     if np.all(s <= 0.0):
         return verts
     if np.all(s > 0.0):
@@ -115,28 +116,24 @@ def clip_cell(
     anchor: np.ndarray,
     normals: np.ndarray,
     offsets: np.ndarray,
+    dists: np.ndarray,
     window: Box,
 ) -> np.ndarray:
-    """Intersect ``a_k . x <= b_k`` with the window, nearest cut first.
+    """Intersect ``a_k . x <= b_k`` with the window, in the order given.
 
-    ``anchor`` is a reference point (the company position).  Sorting the
-    half-planes by their boundary's distance from the anchor lets distant
-    ones be skipped outright: once every current vertex is nearer to the
-    anchor than a boundary line, that line (and all later ones) cannot cut
-    the cell.  Equal distances cut in input order, whatever sort the
-    platform's numpy dispatches.  Returns the vertex loop, possibly empty.
+    ``anchor`` is a reference point (the company position) and
+    ``dists[k]`` the distance of boundary ``k`` from it, ascending: once
+    every current vertex is nearer to the anchor than the next boundary,
+    that line (and all later ones) cannot cut the cell.  Close vertices
+    then merge.  Returns the vertex loop, possibly empty.
     """
     tol = EPS_GEOM * max(1.0, window.diameter)
     verts = window.corners()
-    if len(normals) == 0:
-        return verts
-    norms = np.hypot(normals[:, 0], normals[:, 1])
-    t = (offsets - normals @ anchor) / norms
-    for idx in np.argsort(t, kind="stable"):
+    for k in range(len(dists)):
         rho = float(np.max(np.hypot(*(verts - anchor).T)))
-        if t[idx] >= rho + tol:
+        if dists[k] >= rho + tol:
             break
-        verts = clip_by_halfplane(verts, normals[idx], offsets[idx])
+        verts = clip_by_halfplane(verts, normals[k], offsets[k])
         if len(verts) < 3:
             return verts[:0]
     verts = merge_close_vertices(verts, tol)
@@ -262,9 +259,7 @@ def loop_measures(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np
     loop, following = _loops(verts, counts)
     x = np.where(loop, verts[..., 0], 0.0)
     y = np.where(loop, verts[..., 1], 0.0)
-    area = 0.5 * (
-        np.sum(x * following[..., 1], axis=1) - np.sum(y * following[..., 0], axis=1)
-    )
+    area = _shoelace(x, y, following[..., 0], following[..., 1])
     area[counts < 3] = 0.0
     lengths = np.where(loop, np.hypot(*(following - verts).transpose(2, 0, 1)), np.inf)
     return area, lengths
@@ -272,5 +267,13 @@ def loop_measures(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np
 
 def loop_area(verts: np.ndarray) -> float:
     """Shoelace area of a vertex loop (non-negative when counterclockwise)."""
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    following = np.concatenate((verts[1:], verts[:1]))
+    return float(_shoelace(verts[:, 0], verts[:, 1], following[:, 0], following[:, 1]))
+
+
+def _shoelace(
+    x: np.ndarray, y: np.ndarray, x_next: np.ndarray, y_next: np.ndarray
+) -> np.ndarray:
+    """Half the sum of ``x y_next - y x_next`` along the last axis, added in
+    vertex order, so zero padding past a loop's end changes no bit."""
+    return 0.5 * np.cumsum(x * y_next - y * x_next, axis=-1)[..., -1]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Iterable, Mapping
@@ -298,6 +299,8 @@ def _require_fields(obj: Mapping[str, Any], fields: set[str], where: str) -> Non
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where} must be a number")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or past any float
+        raise SchemaError(f"{where} must be a finite number")
     return float(value)
 
 

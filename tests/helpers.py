@@ -20,8 +20,8 @@ from marketcells import (
 )
 from marketcells.areas import (
     _TIE_RTOL,
+    _bisectors,
     _boundary_matrix,
-    _cell_planes,
     _singular_message,
     area_tolerance,
     line_thresholds,
@@ -545,8 +545,7 @@ def neighbors_at(scenario: Scenario, prices: PriceVector, cid: int, price: float
     values = prices.with_price(scenario, cid, price).as_array()
     k = scenario.index_of[cid]
     if scenario.dimension == 2:
-        normals, offsets, plane_ids = _cell_planes(scenario.positions, values, k)
-        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+        verts, plane_ids, normals, offsets = one_cell(scenario, values, k)
         if len(verts) < 3:
             return None
         tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
@@ -594,6 +593,16 @@ def piece_edges(
 # ---------------------------------------------------------------------------
 
 
+def one_cell(scenario: Scenario, weights: np.ndarray, k: int):
+    """Company ``k``'s cell by the scalar ``clip_cell``, cut by all its
+    bisectors in cut order, with their companies, normals and offsets."""
+    plane_ids, normals, offsets, dists, _, _ = _bisectors(
+        scenario.positions, weights, np.array([k])
+    )
+    verts = clip_cell(scenario.positions[k], normals[0], offsets[0], dists[0], scenario.window)
+    return verts, plane_ids[0], normals[0], offsets[0]
+
+
 def reference_edges(verts, normals, offsets, plane_ids, tie_tol):
     """Border lengths and vertex-only ties of one cell, edge by edge: an
     edge belongs to the bisector tight (within ``tie_tol``) at both its
@@ -626,8 +635,7 @@ def reference_partition_2d(scenario: Scenario, prices: PriceVector) -> MarketPar
     border: dict[tuple[int, int], float] = {}
     ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
     for k in range(n):
-        normals, offsets, plane_ids = _cell_planes(scenario.positions, weights, k)
-        verts = clip_cell(scenario.positions[k], normals, offsets, scenario.window)
+        verts, plane_ids, normals, offsets = one_cell(scenario, weights, k)
         loops.append(verts)
         if len(verts) >= 3:
             areas_by_index[k] = loop_area(verts)
@@ -682,7 +690,8 @@ def reference_partition_2d(scenario: Scenario, prices: PriceVector) -> MarketPar
 
 def assert_same_partition(part: MarketPartition, ref: MarketPartition, scale: float) -> None:
     """Same survivors, neighbor ids, flags and potential competitors; areas,
-    border lengths and vertices within ``1e-12 x scale``."""
+    border lengths and vertices within ``1e-12 x scale`` (to the bit at
+    ``scale = 0``)."""
     tol = 1e-12 * scale
     assert part.survivors == ref.survivors
     assert part.potential_competitors == ref.potential_competitors

@@ -33,6 +33,7 @@ from helpers import (
     random_plane_scenario,
     reference_partition_2d,
     reference_solve_line,
+    ring_market,
     triple_q1,
 )
 
@@ -485,6 +486,25 @@ def plane_market(name):
     return jittered_lattice_2d(np.random.default_rng([1101, 4]), int(name[9:]))
 
 
+def bit_markets(name):
+    """``(scenario, prices)`` pairs by name: the ``plane_lattice`` demo at
+    its own prices or (``-equilibrium``) at its equilibrium, the
+    ``jittered-<side>`` lattice drawn from seed 1101, or (``rings``) four
+    rings of three free companies drawn from seed 1101."""
+    if name.startswith("plane_lattice"):
+        scn = load_scenario(PLANE_LATTICE.read_text())
+        pv = PriceVector.from_scenario(scn)
+        if name.endswith("-equilibrium"):
+            pv = iterate_best_response(scn).prices
+        return [(scn, pv)]
+    if name == "rings":
+        rng = np.random.default_rng(1101)
+        scns = [ring_market(rng, 3) for _ in range(4)]
+    else:
+        scns = [jittered_lattice_2d(np.random.default_rng(1101), int(name[9:]))]
+    return [(scn, PriceVector.from_scenario(scn)) for scn in scns]
+
+
 def partition_notes(caplog, scn, prices):
     """The partition at ``prices`` and the row counts its debug line
     reports: rows re-cut with every bisector by reason (``reach``,
@@ -514,7 +534,8 @@ class TestBatchedPartition:
         monkeypatch.setattr(areas, "clip_cell", lambda *a: clips.append(a) or clip_cell(*a))
         part, notes = partition_notes(caplog, scn, pv)
         assert clips == []
-        assert_same_partition(part, reference_partition_2d(scn, pv), max(1.0, scn.window.diameter))
+        # the batched rows are the one-cell clips to the bit
+        assert_same_partition(part, reference_partition_2d(scn, pv), 0.0)
         if name.endswith("-equilibrium"):
             assert notes["merged"] >= 30
         else:
@@ -554,6 +575,49 @@ class TestBatchedPartition:
         assert_same_partition(part, reference_partition_2d(scn, pv), scn.window.diameter)
         assert notes["merged"] >= 1
         assert len(part.cells[12]) == 4
+
+    @pytest.mark.parametrize(
+        "name",
+        ["plane_lattice", "plane_lattice-equilibrium", "jittered-7", "jittered-15",
+         "jittered-25", "rings"],
+    )
+    def test_one_cell_area_is_the_partition_area(self, name):
+        # fast_area and fast_signature clip one cell, the partition clips
+        # rows in batches; both build, cut and measure it with one arithmetic
+        for scn, pv in bit_markets(name):
+            part = solve_partition(scn, pv, check_window=False)
+            values = pv.as_array()
+            for c in scn.companies:
+                area = areas.fast_area(scn, values, c.id)
+                assert areas.fast_signature(scn, values, c.id).area == area
+                if c.id in part.survivors:
+                    assert area == part.areas[c.id], c.id
+                else:
+                    assert area <= areas.area_tolerance(scn), c.id
+
+    @pytest.mark.parametrize("seed", [1101, 1102])
+    @pytest.mark.parametrize("side", [7, 15])
+    def test_same_partition_whichever_rows_are_cut_again(self, seed, side, caplog, monkeypatch):
+        # with four nearest planes most rows are cut again with every
+        # bisector; the partition must not change in any bit
+        scn = jittered_lattice_2d(np.random.default_rng([seed, side]), side)
+        pv = PriceVector.from_scenario(scn)
+        full = solve_partition(scn, pv, check_window=False)
+        monkeypatch.setattr(areas, "_NEAREST", 4)
+        part, notes = partition_notes(caplog, scn, pv)
+        assert notes["reach"] >= len(scn.companies) // 4
+        assert part.survivors == full.survivors
+        assert part.areas == full.areas
+        assert part.neighbors == full.neighbors
+        assert part.potential_competitors == full.potential_competitors
+        for cid, cell in full.cells.items():
+            if cell is None:
+                assert part.cells[cid] is None, cid
+            else:
+                assert np.array_equal(part.cells[cid].vertices, cell.vertices), cid
+        assert part.edge_owners.keys() == full.edge_owners.keys()
+        for cid, owners in full.edge_owners.items():
+            assert np.array_equal(part.edge_owners[cid], owners), cid
 
     def test_peak_memory_of_a_625_company_partition(self):
         # The per-company clip loop peaked at 1.7 MB here; the batched

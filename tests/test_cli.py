@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, report round-trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -191,6 +192,74 @@ class TestNamedErrors:
         assert code == 1
         assert err.startswith("ValidationError")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "field, value, argv",
+        [
+            ("price_upper", "Infinity", ["best-response", "--company", "1"]),
+            ("beta", "Infinity", ["validate"]),
+            ("beta", "NaN", ["validate"]),
+            ("beta", "1" + "0" * 400, ["validate"]),
+            ("window.max", "[Infinity]", ["validate"]),
+        ],
+        ids=["infinite_price_upper", "infinite_beta", "nan_beta", "beta_past_any_float",
+             "infinite_window"],
+    )
+    def test_non_finite_scenario_number(self, tmp_path, capsys, field, value, argv):
+        # json parses NaN, Infinity and integers no float holds; a scenario
+        # refuses them by name
+        text = (SCENARIOS / "line_lattice.json").read_text()
+        if field == "window.max":
+            text = text.replace('"max": [\n      12.0\n    ]', f'"max": {value}')
+        else:
+            doc = json.loads(text)
+            doc[field] = 0.0
+            text = json.dumps(doc).replace(f'"{field}": 0.0', f'"{field}": {value}')
+        assert value in text
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        command, *flags = argv
+        code, out, err = run(capsys, command, str(path), *flags)
+        assert code == 1
+        assert err.startswith("SchemaError") and f"{field} must be a finite number" in err
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, scenario, company, price",
+        [
+            ("best-response", "line_lattice", 2, math.nan),
+            ("best-response", "line_lattice", 2, 1e6),
+            ("best-response", "line_lattice", 0, 0.2),
+            ("render", "plane_lattice", 8, 1e9),
+            ("render", "plane_lattice", 8, math.nan),
+            ("render", "plane_lattice", 8, -5.0),
+        ],
+        ids=["best_response_nan", "best_response_above_upper", "best_response_frozen_moved",
+             "render_above_upper", "render_nan", "render_negative"],
+    )
+    def test_prices_checked_against_the_scenario(
+        self, tmp_path, capsys, command, scenario, company, price
+    ):
+        path = SCENARIOS / f"{scenario}.json"
+        prices = {str(c["id"]): c["price"] for c in json.loads(path.read_text())["companies"]}
+        prices[str(company)] = price
+        prices_path = tmp_path / "prices.json"
+        prices_path.write_text(json.dumps(prices))
+        flags = ["--company", "1"] if command == "best-response" else []
+        code, out, err = run(capsys, command, str(path), "--prices", str(prices_path), *flags)
+        assert code == 1
+        assert err.startswith("ValidationError") and f"company {company} " in err
+        assert out == "" and "Traceback" not in err
+
+    def test_price_past_any_float(self, tmp_path, capsys):
+        prices_path = tmp_path / "prices.json"
+        prices_path.write_text('{"0": 1' + "0" * 400 + "}")
+        code, _, err = run(
+            capsys, "cells", str(SCENARIOS / "line_lattice.json"), "--prices", str(prices_path)
+        )
+        assert code == 1
+        assert err.startswith("SchemaError") and "Traceback" not in err
 
 
 class TestEquilibriumCommand:

@@ -1,7 +1,8 @@
 """Cell half-planes, window clipping, polygon measures and cell borders.
 
-Every case runs the production path: ``areas._cell_planes`` builds a
-company's half-planes, ``geometry.clip_cell`` clips them to the window,
+Every case runs the production path: ``areas._bisectors`` builds a
+company's half-planes in cut order, ``geometry.clip_cell`` clips them to
+the window,
 ``window_contacts`` finds the cells on the window edge, and
 ``solve_areas_q0`` measures the borders.
 """
@@ -21,8 +22,15 @@ from marketcells import (
     ValidationError,
     solve_areas_q0,
 )
-from marketcells.areas import _cell_planes
-from marketcells.geometry import clip_cell, window_contacts
+from marketcells.areas import _bisectors
+from marketcells.geometry import (
+    _clip_rows,
+    clip_by_halfplane,
+    clip_cell,
+    loop_area,
+    loop_measures,
+    window_contacts,
+)
 
 from helpers import aggregate_price, lattice_2d
 
@@ -51,8 +59,10 @@ def pair(xi, wi, xj, wj) -> Scenario:
 
 def gap(scn: Scenario, x) -> float:
     """``b - a . x`` of company 0's one half-plane against company 1."""
-    normals, offsets, _ = _cell_planes(scn.positions, PriceVector.from_scenario(scn).as_array(), 0)
-    return float(offsets[0] - normals[0] @ np.asarray(x, dtype=float))
+    _, normals, offsets, *_ = _bisectors(
+        scn.positions, PriceVector.from_scenario(scn).as_array(), np.array([0])
+    )
+    return float(offsets[0, 0] - normals[0, 0] @ np.asarray(x, dtype=float))
 
 
 def price_gap(scn: Scenario, x) -> float:
@@ -61,12 +71,14 @@ def price_gap(scn: Scenario, x) -> float:
 
 
 def clip(normals, offsets, anchor=(0.0, 0.0)):
-    return clip_cell(
-        np.asarray(anchor, dtype=float),
-        np.asarray(normals, dtype=float),
-        np.asarray(offsets, dtype=float),
-        WINDOW,
-    )
+    """``clip_cell`` of the half-planes, put in cut order: by the distance
+    of their boundary from ``anchor``."""
+    anchor = np.asarray(anchor, dtype=float)
+    normals = np.asarray(normals, dtype=float).reshape(-1, 2)
+    offsets = np.asarray(offsets, dtype=float)
+    dists = (offsets - normals @ anchor) / np.hypot(normals[:, 0], normals[:, 1])
+    order = np.argsort(dists, kind="stable")
+    return clip_cell(anchor, normals[order], offsets[order], dists[order], WINDOW)
 
 
 def touches_window(verts):
@@ -134,10 +146,12 @@ class TestBisector:
                 continue
             wi, wj = rng.uniform(0, 2, size=2)
             scn = pair(xi, float(wi), xj, float(wj))
-            normals, offsets, plane_ids = _cell_planes(scn.positions, np.array([wi, wj]), 0)
-            assert list(plane_ids) == [1]
+            plane_ids, normals, offsets, *_ = _bisectors(
+                scn.positions, np.array([wi, wj]), np.array([0])
+            )
+            assert plane_ids.tolist() == [[1]]
             pts = rng.uniform(-5, 5, size=(200, 2))
-            gaps = offsets[0] - pts @ normals[0]
+            gaps = offsets[0, 0] - pts @ normals[0, 0]
             price_i = wi + ((pts - xi) ** 2).sum(axis=1)
             price_j = wj + ((pts - xj) ** 2).sum(axis=1)
             np.testing.assert_allclose(gaps, price_j - price_i, atol=1e-12)
@@ -274,3 +288,39 @@ class TestPolygonMeasures:
         assert sum(lengths.values()) == pytest.approx(part.cells[4].perimeter, abs=1e-7)
         for cid, length in lengths.items():
             assert borders(part, cid)[4] == length
+
+
+def star_loops(rng, counts, width):
+    """Star-shaped loops of ``counts[r]`` vertices around random centers,
+    counterclockwise, zero-padded to ``width``."""
+    loops = np.zeros((len(counts), width, 2))
+    for r, m in enumerate(counts):
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+        radii = rng.uniform(0.5, 2.0, m)
+        loops[r, :m] = rng.uniform(-3.0, 3.0, 2) + np.stack(
+            [radii * np.cos(angles), radii * np.sin(angles)], axis=1
+        )
+    return loops
+
+
+class TestOneArithmetic:
+    """The one-cell clip and the batched rows cut and measure a loop with
+    the same arithmetic, so a cell is the same bits on either path."""
+
+    def test_halfplane_cut_is_a_batched_row(self):
+        rng = np.random.default_rng(18)
+        rows = 2_000
+        loops = star_loops(rng, [6] * rows, 6)
+        a = rng.normal(size=(rows, 2))
+        b = np.sum(a * loops.mean(axis=1), axis=1) + rng.uniform(-1.0, 1.0, rows)
+        cut, counts = _clip_rows(loops, np.full(rows, 6), a, b)
+        assert 0 < np.count_nonzero((counts > 0) & (counts != 6)) < rows
+        for r in range(rows):
+            assert np.array_equal(clip_by_halfplane(loops[r], a[r], b[r]), cut[r, : counts[r]]), r
+
+    def test_padded_loop_area_is_the_bare_loop_area(self):
+        rng = np.random.default_rng(19)
+        counts = rng.integers(3, 17, size=300)
+        loops = star_loops(rng, counts, 24)
+        area, _ = loop_measures(loops, counts)
+        assert area.tolist() == [loop_area(loops[r, :m]) for r, m in enumerate(counts)]

@@ -487,12 +487,12 @@ class TestCurveSolveCount:
         one per clip, or of the focal company of each line solve, and the
         count of ``clip_cell`` calls."""
         clipped = {"prices": [], "clips": 0}
-        cell_planes, clip_cell = areas._cell_planes, areas.clip_cell
+        bisectors, clip_cell = areas._bisectors, areas.clip_cell
         solve_sorted_line = areas._solve_sorted_line
 
-        def planes(positions, weights, k):
-            clipped["prices"].append(float(weights[k]))
-            return cell_planes(positions, weights, k)
+        def planes(positions, weights, owners, nearest=None):
+            clipped["prices"].extend(weights[owners].tolist())
+            return bisectors(positions, weights, owners, nearest)
 
         def clip(*args):
             clipped["clips"] += 1
@@ -503,7 +503,7 @@ class TestCurveSolveCount:
                 clipped["prices"].append(float(values[k]))
             return solve_sorted_line(scenario, values, k)
 
-        monkeypatch.setattr(areas, "_cell_planes", planes)
+        monkeypatch.setattr(areas, "_bisectors", planes)
         monkeypatch.setattr(areas, "clip_cell", clip)
         monkeypatch.setattr(areas, "_solve_sorted_line", solve)
         return clipped
