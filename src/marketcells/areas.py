@@ -34,8 +34,7 @@ from .geometry import (
     clip_cell,
     clip_cells,
     loop_area,
-    loop_measures,
-    merge_close_vertices,
+    loop_areas,
     successors,
     window_contacts,
 )
@@ -615,7 +614,7 @@ class _NearestClip(NamedTuple):
     :func:`_edge_attribution` finds on row ``r``'s cell against all its
     bisectors.
     ``reach`` and ``tie`` count the rows cut again with every bisector,
-    by reason, and ``merged`` the rows whose close vertices merged.
+    by reason.
     """
 
     verts: np.ndarray
@@ -625,7 +624,6 @@ class _NearestClip(NamedTuple):
     passes: int
     reach: int
     tie: int
-    merged: int
 
 
 def _block_rows(companies: int) -> int:
@@ -702,9 +700,9 @@ def _clip_nearest(
     still lies within its farthest vertex plus the clip tolerance, so the
     one-cell clip would cut with it, or (tie) a bisector outside its
     nearest ones comes within ``tie_tol`` of a vertex, where
-    :func:`_edge_attribution` records a tie.  Consecutive vertices within
-    the merge tolerance then merge as in :func:`clip_cell`, and a row
-    left with under three vertices holds no cell.  The nearest-bisector
+    :func:`_edge_attribution` records a tie.  A row left with under three
+    vertices holds no cell; every other row keeps its exact loop, short
+    edges included.  The nearest-bisector
     pass builds ``(rows x companies)`` arrays only, never a normal per
     row and company; the rows cut again hold one normal per company.
     """
@@ -738,14 +736,7 @@ def _clip_nearest(
         verts[recut, : cut.shape[1]] = cut
         counts[recut] = cut_counts
     counts[counts < 3] = 0
-    area, lengths = loop_measures(verts, counts)
-    close = (counts > 0) & np.any(lengths <= tol, axis=1)
-    # Rows with close vertices take the one-cell clip's merge.
-    for r in np.flatnonzero(close).tolist():
-        loop = merge_close_vertices(verts[r, : counts[r]], tol)
-        counts[r] = len(loop) if len(loop) >= 3 else 0
-        verts[r, : counts[r]] = loop[: counts[r]]
-        area[r] = loop_area(loop) if counts[r] else 0.0
+    area = loop_areas(verts, counts)
     edges = _edge_attribution(verts, counts, normals, offsets, planes, tie_tol)
     if len(recut):
         found = _edge_attribution(
@@ -754,8 +745,7 @@ def _clip_nearest(
         for r, attribution in zip(recut.tolist(), found):
             edges[r] = attribution
     return _NearestClip(
-        verts, counts, area, edges, passes,
-        int(reached.sum()), int(tied.sum()), int(close.sum()),
+        verts, counts, area, edges, passes, int(reached.sum()), int(tied.sum())
     )
 
 
@@ -780,13 +770,13 @@ def _partition_2d(
     ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
     owners_by_index: dict[int, np.ndarray] = {}
     passes = 0
-    notes = np.zeros(3, dtype=np.intp)
+    notes = np.zeros(2, dtype=np.intp)
     step = _block_rows(n)
     for start in range(0, n, step):
         rows = np.arange(start, min(n, start + step))
         batch = _clip_nearest(scenario, weights, rows, tie_tol)
         passes += batch.passes
-        notes += (batch.reach, batch.tie, batch.merged)
+        notes += (batch.reach, batch.tie)
         touches = window_contacts(batch.verts, batch.counts, window)
         for r, k in enumerate(rows.tolist()):
             loops.append(batch.verts[r, : batch.counts[r]])
@@ -803,8 +793,8 @@ def _partition_2d(
     if log is not None:
         log.debug(
             "partition: %d companies in the plane, %d clip passes, %d rows re-cut "
-            "with every bisector (%d reach, %d tie), %d rows merged",
-            n, passes, int(notes[:2].sum()), *notes.tolist(),
+            "with every bisector (%d reach, %d tie)",
+            n, passes, int(notes.sum()), *notes.tolist(),
         )
 
     surviving = (areas_by_index > eps_area).tolist()
@@ -831,6 +821,8 @@ def _partition_2d(
     neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
     potential: dict[int, set[int]] = {cid: set() for cid in ids}
 
+    # Borders are exact, however short; one shorter than zero_border is
+    # still flagged as a potential competitor, as an exact corner tie is.
     zero_border = EPS_GEOM * max(1.0, window.diameter)
     pairs = sorted(border.items())
     distances = _pair_distances(scenario.positions, [key for key, _ in pairs])
@@ -1257,8 +1249,9 @@ def _plane_piece(
     edges moves by ``u dv`` with ``M dv = dh``, and the shoelace area of
     ``v + u dv`` has ``u^2`` coefficient ``A2``.  The piece ends where an
     edge shrinks to length 0 or a line that carries no edge reaches a
-    vertex; where two edges' lines are (nearly) parallel it ends at once,
-    with ``A1`` still exact and ``A2 = 0``.
+    vertex; an edge however short is one of the cell's edges, so the piece
+    ends where it closes.  Where two edges' lines are (nearly) parallel it
+    ends at once, with ``A1`` still exact and ``A2 = 0``.
     """
     lines = np.vstack([normals, _WINDOW_NORMALS])
     (x0, y0), (x1, y1) = window.lo, window.hi
@@ -1267,10 +1260,10 @@ def _plane_piece(
     norms = np.hypot(lines[:, 0], lines[:, 1])
     gaps = (heights - verts @ lines.T) / norms
     # edge i runs from vertex i to vertex i + 1
-    edge = np.argmin(np.abs(gaps) + np.abs(np.roll(gaps, -1, axis=0)), axis=1)
-    side = np.roll(verts, -1, axis=0) - verts
+    edge = np.argmin(np.abs(gaps) + np.abs(np.concatenate((gaps[1:], gaps[:1]))), axis=1)
+    side = np.concatenate((verts[1:], verts[:1])) - verts
     slope = float(np.sum(np.hypot(side[:, 0], side[:, 1]) * rates[edge] / norms[edge]))
-    before = np.roll(edge, 1)
+    before = np.concatenate((edge[-1:], edge[:-1]))
     a, b = lines[before], lines[edge]
     det = _cross(a, b)
     if np.any(np.abs(det) <= EPS_GEOM * norms[before] * norms[edge]):
@@ -1278,7 +1271,7 @@ def _plane_piece(
     ra, rb = rates[before], rates[edge]
     dv = np.stack([b[:, 1] * ra - a[:, 1] * rb, a[:, 0] * rb - b[:, 0] * ra], axis=1)
     dv /= det[:, None]
-    dv_next = np.roll(dv, -1, axis=0)
+    dv_next = np.concatenate((dv[1:], dv[:1]))
     curvature = 0.5 * float(np.sum(_cross(dv, dv_next)))
     dside = dv_next - dv
     shrink = np.sum(side * dside, axis=1)

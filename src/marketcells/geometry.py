@@ -2,9 +2,14 @@
 
 Cells are intersections of half-planes clipped to the evaluation window,
 built incrementally: start from the window rectangle and cut with one
-half-plane at a time.  Everything is tolerance-aware; vertices closer
-than ``EPS_GEOM`` (in window units) are merged so near-degenerate cuts do
-not spawn phantom zero-length edges.
+half-plane at a time.  A cut uses no tolerance: it adds an intersection
+only where an edge's ends lie strictly on opposite sides of the line, so
+a line through a vertex keeps that vertex once, and a point that rounds
+onto its neighbor is kept once.  No cut emits a zero-length edge, and a
+short edge is a real edge, never merged away.  ``EPS_GEOM`` (in window
+units) decides when a boundary lies too far out to cut a cell, when an
+edge lies on the window, when two lines are too close to parallel to
+meet, and when a border is short enough to mark a potential competitor.
 """
 
 from __future__ import annotations
@@ -80,7 +85,11 @@ class ConvexPolygon:
 
 def clip_by_halfplane(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     """One Sutherland-Hodgman pass; returns the clipped vertex loop.  Each
-    vertex's side is :func:`_clip_rows`'s expression, to the bit."""
+    vertex's side is :func:`_clip_rows`'s expression, to the bit.  A vertex
+    on the line is kept, and an edge adds its intersection only when its
+    ends lie strictly on opposite sides.  An intersection can still round
+    onto the point beside it; a point equal to the next one is dropped, so
+    no vertex repeats."""
     s = verts[:, 0] * a[0] + verts[:, 1] * a[1] - b
     if np.all(s <= 0.0):
         return verts
@@ -90,26 +99,13 @@ def clip_by_halfplane(verts: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
     n = len(verts)
     for k in range(n):
         k2 = (k + 1) % n
-        inside_k, inside_k2 = s[k] <= 0.0, s[k2] <= 0.0
-        if inside_k:
+        if s[k] <= 0.0:
             out.append(verts[k])
-        if inside_k != inside_k2:
+        if s[k] < 0.0 < s[k2] or s[k] > 0.0 > s[k2]:
             t = s[k] / (s[k] - s[k2])
             out.append(verts[k] + t * (verts[k2] - verts[k]))
-    return np.array(out) if out else verts[:0]
-
-
-def merge_close_vertices(verts: np.ndarray, eps: float) -> np.ndarray:
-    """Collapse consecutive vertices closer than ``eps`` (cyclically)."""
-    if len(verts) == 0:
-        return verts
-    keep: list[np.ndarray] = []
-    for v in verts:
-        if not keep or np.hypot(*(v - keep[-1])) > eps:
-            keep.append(v)
-    while len(keep) > 1 and np.hypot(*(keep[0] - keep[-1])) <= eps:
-        keep.pop()
-    return np.array(keep)
+    loop = np.array(out)
+    return loop[np.any(loop != np.concatenate((loop[1:], loop[:1])), axis=1)]
 
 
 def clip_cell(
@@ -124,8 +120,9 @@ def clip_cell(
     ``anchor`` is a reference point (the company position) and
     ``dists[k]`` the distance of boundary ``k`` from it, ascending: once
     every current vertex is nearer to the anchor than the next boundary,
-    that line (and all later ones) cannot cut the cell.  Close vertices
-    then merge.  Returns the vertex loop, possibly empty.
+    that line (and all later ones) cannot cut the cell.  Returns the exact
+    vertex loop, possibly empty: an edge however short is kept, since its
+    length is the cell's border with the company that carves it.
     """
     tol = EPS_GEOM * max(1.0, window.diameter)
     verts = window.corners()
@@ -136,9 +133,6 @@ def clip_cell(
         verts = clip_by_halfplane(verts, normals[k], offsets[k])
         if len(verts) < 3:
             return verts[:0]
-    verts = merge_close_vertices(verts, tol)
-    if len(verts) < 3:
-        return verts[:0]
     return verts
 
 
@@ -158,8 +152,8 @@ def clip_cells(
     with its next half-plane, all rows at once, as ``clip_by_halfplane``
     would.  A row stops once its next boundary lies beyond its farthest
     vertex, and also once it is cut below three vertices; the passes stop
-    when every row has.  No vertex merging happens here, and the caller
-    checks that no half-plane beyond a row's last one could cut it.
+    when every row has.  The caller checks that no half-plane beyond a
+    row's last one could cut it.
 
     Returns ``(verts, counts, reach, passes)``: ``verts`` is ``(rows,
     width, 2)``, row ``r`` holding its loop in its first ``counts[r]``
@@ -194,7 +188,7 @@ def successors(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each entry's successor along the padded loops of axis 1: loop ``r``
     holds its first ``counts[r]`` entries and wraps to its first one.
     Entries past a loop's end hold no particular value."""
-    out = np.roll(values, -1, axis=1)
+    out = np.concatenate((values[:, 1:], values[:, :1]), axis=1)
     out[np.arange(len(values)), counts - 1] = values[:, 0]
     return out
 
@@ -217,13 +211,15 @@ def _clip_rows(
     verts: np.ndarray, counts: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Sutherland-Hodgman pass per row: loop ``r`` (its first
-    ``counts[r]`` vertices) cut by ``a[r] . x <= b[r]``."""
+    ``counts[r]`` vertices) cut by ``a[r] . x <= b[r]``, with
+    :func:`clip_by_halfplane`'s rules: no intersection where an edge ends
+    on the line, and no point equal to the next one."""
     rows, width = verts.shape[:2]
     loop = np.arange(width) < counts[:, None]
     s = verts[..., 0] * a[:, 0, None] + verts[..., 1] * a[:, 1, None] - b[:, None]
     s_next = successors(s, counts)
     inside = loop & (s <= 0.0)
-    crossing = loop & (inside != (s_next <= 0.0))
+    crossing = loop & (((s < 0.0) & (s_next > 0.0)) | ((s > 0.0) & (s_next < 0.0)))
     emitted = inside.astype(np.intp) + crossing
     slot = np.cumsum(emitted, axis=1) - emitted
     cut_counts = slot[:, -1] + emitted[:, -1]
@@ -235,6 +231,13 @@ def _clip_rows(
     cut[r, slot[r, k] + inside[r, k]] = vk + (sk / (sk - sk2))[:, None] * (
         successors(verts, counts)[r, k] - vk
     )
+    kept = np.arange(cut.shape[1]) < cut_counts[:, None]
+    kept &= np.any(cut != successors(cut, cut_counts), axis=2)
+    if np.any(np.count_nonzero(kept, axis=1) < cut_counts):
+        slot = np.cumsum(kept, axis=1) - kept
+        r, k = np.nonzero(kept)
+        cut[r, slot[r, k]] = cut[r, k]
+        cut_counts = slot[:, -1] + kept[:, -1]
     return cut, cut_counts
 
 
@@ -252,17 +255,14 @@ def window_contacts(verts: np.ndarray, counts: np.ndarray, window: Box) -> np.nd
     return hit
 
 
-def loop_measures(verts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shoelace area of each padded loop (``0`` below three vertices) and
-    the length of each edge from a vertex to its successor (``inf`` on
-    the padding)."""
+def loop_areas(verts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Shoelace area of each padded loop (``0`` below three vertices)."""
     loop, following = _loops(verts, counts)
     x = np.where(loop, verts[..., 0], 0.0)
     y = np.where(loop, verts[..., 1], 0.0)
     area = _shoelace(x, y, following[..., 0], following[..., 1])
     area[counts < 3] = 0.0
-    lengths = np.where(loop, np.hypot(*(following - verts).transpose(2, 0, 1)), np.inf)
-    return area, lengths
+    return area
 
 
 def loop_area(verts: np.ndarray) -> float:

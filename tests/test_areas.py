@@ -508,12 +508,12 @@ def bit_markets(name):
 def partition_notes(caplog, scn, prices):
     """The partition at ``prices`` and the row counts its debug line
     reports: rows re-cut with every bisector by reason (``reach``,
-    ``tie``) and rows whose close vertices merged (``merged``)."""
+    ``tie``)."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
         part = solve_partition(scn, prices, check_window=False)
     (record,) = [r for r in caplog.records if r.msg.startswith("partition")]
-    counts = dict(zip(("reach", "tie", "merged"), record.args[-3:]))
+    counts = dict(zip(("reach", "tie"), record.args[-2:]))
     return part, counts
 
 
@@ -527,8 +527,7 @@ class TestBatchedPartition:
         scn = plane_market(name.removesuffix("-equilibrium"))
         pv = PriceVector.from_scenario(scn)
         if name.endswith("-equilibrium"):
-            # prices tie to about 1e-11, so four cells meet almost at one
-            # point and each corner splits into two vertices that merge
+            # prices tie, so four cells meet at each lattice corner
             pv = iterate_best_response(scn).prices
         clips, clip_cell = [], areas.clip_cell
         monkeypatch.setattr(areas, "clip_cell", lambda *a: clips.append(a) or clip_cell(*a))
@@ -536,10 +535,16 @@ class TestBatchedPartition:
         assert clips == []
         # the batched rows are the one-cell clips to the bit
         assert_same_partition(part, reference_partition_2d(scn, pv), 0.0)
+        assert sum(notes.values()) <= 3
         if name.endswith("-equilibrium"):
-            assert notes["merged"] >= 30
-        else:
-            assert sum(notes.values()) <= 3
+            # every cell is its lattice square, one or two units a side,
+            # with no short edge where the corners meet
+            shortest = []
+            for cid in part.survivors:
+                verts = part.cells[cid].vertices
+                assert len(verts) == 4, cid
+                shortest.append(np.hypot(*(np.roll(verts, -1, axis=0) - verts).T).min())
+            assert abs(min(shortest) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("name", ["random-0", "plane_lattice", "jittered-15"])
     def test_two_nearest_planes_fall_back_to_the_scalar_clip(self, name, caplog, monkeypatch):
@@ -566,15 +571,65 @@ class TestBatchedPartition:
         assert notes["tie"] >= 1
         assert part.potential_competitors[12] == {6, 8, 16, 18}
 
-    def test_close_vertices_take_the_scalar_merge(self, caplog):
-        # A diagonal neighbor cheaper by 1e-9 cuts the center's corner with
-        # an edge far below the merge tolerance.
+    @pytest.mark.parametrize(
+        "delta, potential",
+        [
+            (1e-10, {6, 8, 16, 18}),
+            (1e-9, {6, 8, 16, 18}),
+            (5e-9, {6, 8, 16, 18}),
+            (1e-8, {6, 8, 16, 18}),
+            (2e-8, {8, 16, 18}),
+        ],
+        ids=["1e-10", "1e-09", "5e-09", "1e-08", "2e-08"],
+    )
+    def test_cell_where_cells_nearly_meet_is_exact(self, delta, potential):
+        # A diagonal neighbor cheaper by delta cuts the center's corner with
+        # an edge delta / sqrt(2) long.  It is a border however short: the
+        # cell keeps 5 vertices, gamma = 2 - delta / 4 is the one-cell
+        # slope, and the one-cell piece ends where the edge closes.  Below
+        # zero_border (about 9.9e-9 here) the border still marks company 6
+        # a potential competitor, as the exact corner ties mark the others.
         scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
-        pv = PriceVector.from_scenario(scn).with_price(scn, 6, 1.0 - 1e-9)
-        part, notes = partition_notes(caplog, scn, pv)
+        pv = PriceVector.from_scenario(scn).with_price(scn, 6, 1.0 - delta)
+        part = solve_partition(scn, pv, check_window=False)
         assert_same_partition(part, reference_partition_2d(scn, pv), scn.window.diameter)
-        assert notes["merged"] >= 1
-        assert len(part.cells[12]) == 4
+        assert len(part.cells[12]) == 5
+        border = {e.company_id: e.border_length for e in part.neighbors[12]}
+        # the cut points carry a few ulps of the lattice coordinates
+        assert border[6] == pytest.approx(delta / np.sqrt(2.0), rel=0.0, abs=4e-15)
+        assert part.potential_competitors[12] == potential
+        piece = areas.fast_signature(scn, pv.as_array(), 12)
+        gamma = part.gamma(12)
+        assert gamma == pytest.approx(-piece.slope, rel=1e-15, abs=0.0)
+        # within 1e-14, far below the 2.25e-10 gamma step between two
+        # neighboring deltas, so gamma falls strictly as delta grows
+        assert gamma == pytest.approx(2.0 - delta / 4.0, rel=0.0, abs=1e-14)
+        assert piece.reach == pytest.approx(delta, rel=0.0, abs=4e-15)
+
+    def test_roundoff_sliver_reads_as_a_corner_tie(self):
+        # Company 4's bisector passes through cell 10's corner (0.75, 3.5),
+        # where 3's and 11's meet; roundoff leaves a 6.3e-16 edge there.
+        # The edge stays, ends the one-cell piece at once, and changes no
+        # neighbor: 4 and 18 still tie at corners with border 0.
+        scn = lattice_2d(n=7)
+        pv = PriceVector.from_scenario(scn).with_price(scn, 9, 1.0 - 2.0**-20)
+        part = solve_partition(scn, pv, check_window=False)
+        assert_same_partition(part, reference_partition_2d(scn, pv), 0.0)
+        verts = part.cells[10].vertices
+        assert len(verts) == 5
+        assert np.hypot(*(np.roll(verts, -1, axis=0) - verts).T).min() < 1e-15
+        assert [
+            (e.company_id, e.border_length == 0.0, e.potential_competitor)
+            for e in part.neighbors[10]
+        ] == [
+            (3, False, False), (9, False, False), (11, False, False),
+            (17, False, False), (4, True, True), (18, True, True),
+        ]
+        assert part.potential_competitors[10] == {4, 18}
+        assert part.potential_competitors[4] == {10, 12}
+        assert part.potential_competitors[18] == {10, 12, 24, 26}
+        assert part.gamma(10) == pytest.approx(1.75 - 2.0**-21, rel=1e-15, abs=0.0)
+        assert areas.fast_signature(scn, pv.as_array(), 10).reach < 1e-15
 
     @pytest.mark.parametrize(
         "name",

@@ -289,6 +289,12 @@ class TestNewton:
         assert len(calls) <= 25
         message = newton_record(caplog)
         assert "converged, 1 certificate sweeps" in message
+        # the exact cells put every free price at the lattice's 0.5
+        prices = report.prices.as_array()
+        for c in scn.companies:
+            if not c.frozen:
+                assert abs(prices[scn.index_of[c.id]] - 0.5) <= 1e-14, c.id
+        assert report.residual <= 1e-14
 
     def test_empty_cell_hands_over_to_best_response(self, monkeypatch, caplog):
         scn = random_line_scenario(np.random.default_rng(1009), q=0)

@@ -28,7 +28,7 @@ from marketcells.geometry import (
     clip_by_halfplane,
     clip_cell,
     loop_area,
-    loop_measures,
+    loop_areas,
     window_contacts,
 )
 
@@ -318,9 +318,31 @@ class TestOneArithmetic:
         for r in range(rows):
             assert np.array_equal(clip_by_halfplane(loops[r], a[r], b[r]), cut[r, : counts[r]]), r
 
+    @pytest.mark.parametrize(
+        "corner, a, b, expected",
+        [
+            (0.0, (1.0, 1.0), 1.0, [(0, 0), (1, 0), (0, 1)]),
+            (0.0, (1.0, 2.0), 1.0, [(0, 0), (1, 0), (0, 0.5)]),
+            (0.0, (1.0, 1.0), 2.0, [(0, 0), (1, 0), (1, 1), (0, 1)]),
+            (0.0, (0.0, 1.0), 0.0, [(0, 0), (1, 0)]),
+            # the line passes an ulp off (1.1, 1.1); the cut point on the
+            # square's right side rounds onto that vertex
+            (0.1, (1.0, -2.0), -1.0999999999999999, [(1.1, 1.1), (0.1, 1.1), (0.1, 0.6)]),
+        ],
+        ids=["two-vertices", "one-vertex", "touching-vertex", "along-an-edge", "rounds-onto-a-vertex"],
+    )
+    def test_cut_through_vertices_repeats_none(self, corner, a, b, expected):
+        # a vertex on the line is kept once, never again as an intersection
+        square = corner + np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        a = np.array(a)
+        loop = clip_by_halfplane(square, a, b)
+        cut, counts = _clip_rows(square[None], np.array([4]), a[None], np.array([b]))
+        assert loop.tolist() == np.array(expected, dtype=float).tolist()
+        assert np.array_equal(cut[0, : counts[0]], loop)
+
     def test_padded_loop_area_is_the_bare_loop_area(self):
         rng = np.random.default_rng(19)
         counts = rng.integers(3, 17, size=300)
         loops = star_loops(rng, counts, 24)
-        area, _ = loop_measures(loops, counts)
+        area = loop_areas(loops, counts)
         assert area.tolist() == [loop_area(loops[r, :m]) for r, m in enumerate(counts)]

@@ -139,9 +139,9 @@ def ring_market_18():
 
 
 def plane_lattice_equilibrium():
-    """The ``plane_lattice`` demo at its equilibrium, where prices tie to
-    about 1e-11: four cells meet almost at one point, corners merge and
-    the curves' pieces start and end at once."""
+    """The ``plane_lattice`` demo at its equilibrium, where prices tie:
+    four cells meet at each lattice corner, and the curves' pieces start
+    and end at once."""
     scn = load_scenario((DEMOS / "plane_lattice.json").read_text())
     return scn, iterate_best_response(scn).prices
 
@@ -381,6 +381,16 @@ class TestBestResponse:
         assert br.profit == pytest.approx(w, abs=1e-15)
         assert br.profit == pytest.approx(br.price * s, abs=1e-15)
 
+    def test_cell_with_a_roundoff_sliver(self):
+        # cell 10 keeps a 6.3e-16 edge where three bisectors meet at its
+        # corner; its pieces end there, and the walk still finds the peak
+        scn = lattice_2d(n=7)
+        pv = PriceVector.from_scenario(scn).with_price(scn, 9, 1.0 - 2.0**-20)
+        br = best_response(scn, pv, 10)
+        grid, profits = profit_curve(scn, pv, 10, samples=10_000)
+        assert abs(br.price - grid[int(np.argmax(profits))]) <= grid[1] - grid[0]
+        assert profits.max() - br.profit <= 1e-9 * br.profit
+
     def test_ring_scenario_matches_scan_argmax(self):
         rng = np.random.default_rng(77)
         scn = random_plane_scenario(rng)
@@ -511,7 +521,7 @@ class TestCurveSolveCount:
     @pytest.mark.parametrize("samples", [4_001, 10_000])
     def test_plane_clips_once_per_piece(self, clipped, caplog, samples):
         # at 4,001 samples the grid holds price 1, where the center cell's
-        # corners meet four cells at once and its vertices merge
+        # corners meet four cells at once
         scn = lattice_2d(n=5, boundary_price=1.0, interior_price=1.0)
         pv = PriceVector.from_scenario(scn)
         with caplog.at_level(logging.DEBUG, logger="marketcells.areas"):
@@ -552,10 +562,9 @@ class TestCurveSolveCount:
                 after = grid[min(np.searchsorted(grid, edge, side="right"), len(grid) - 1)]
                 assert np.any((starts > edge - slack) & (starts <= after)), edge
             edges_seen += len(edges)
-            # and no piece a solve returns holds across an edge.  The scan
-            # drops a border once clip_cell merges its two ends, before it
-            # shrinks to nothing: up to 4.5e-9 x price_upper before the
-            # piece ends on these markets.
+            # and no piece a solve returns holds across an edge.  On the
+            # plane markets the scan places an edge up to 2.9e-11 x
+            # price_upper before the piece ends.
             for start in starts.tolist():
                 values = pv.with_price(scn, c.id, start).as_array()
                 reach = fast_signature(scn, values, c.id).reach
