@@ -883,6 +883,10 @@ def area_jacobian(
     the piece of ``part``: ``(dS, dgamma)`` with ``dS[i, j] = dS_i / dP_j`` and
     ``dgamma[i, j] = dgamma_i / dP_j``, over company indices.
 
+    ``-dS[i, i]`` is the competition intensity Newton and the reports read:
+    ``part.gamma`` to the bit without brand feedback (0 with no neighbors),
+    the exact ``-dS_i / dP_i`` with it.
+
     On a line, for either brand exponent, each price enters the boundary
     system of the survivors (frozen and hidden ones included) as ``+1`` on
     the left boundary of its cell and ``-1`` on the right one: one solve
@@ -893,10 +897,12 @@ def area_jacobian(
     ``dgamma = 0``.
 
     In the plane ``dS_i / dP_j = l_ij / (2 d_ij)`` for a neighbor ``j`` and
-    ``dS_i / dP_i = -gamma_i``.  Each vertex of a cell lies on the lines ``n .
-    x = h`` of its two edges, so it moves by ``M^-1 dh`` with ``M`` stacking
-    their normals.  The bisector with company ``j`` on ``i``'s cell has ``n =
-    2 (x_j - x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1``
+    ``dS_i / dP_i = -gamma_i`` from ``part.gamma`` itself (a row sum would
+    round otherwise, and so would a running sum where Python's compensates,
+    3.12 on).  Each vertex of a cell lies on the lines ``n . x = h`` of its
+    two edges, so it moves by ``M^-1 dh`` with ``M`` stacking their
+    normals.  The bisector with company ``j`` on ``i``'s cell has ``n = 2
+    (x_j - x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1``
     per unit of ``P_i``; window edges do not move.  An edge's length moves
     by its unit direction dotted with the motion of its end over its start.
     """
@@ -927,7 +933,7 @@ def area_jacobian(
         i = index[cid]
         for e in edges:
             dS[i, index[e.company_id]] += e.border_length / (2.0 * e.distance)
-    dS[np.diag_indices(n)] = -dS.sum(axis=1)
+        dS[i, i] = -(part.gamma(cid) or 0.0)
     if not part.edge_owners:
         return dS, dgamma
 

@@ -12,6 +12,8 @@ construction, and the remaining companies equilibrate among themselves.
 Verification checks the price-area identities a true equilibrium must
 satisfy: price times competition intensity equals area when the brand
 bonus cancels, and the one-sided price-sensitivity band otherwise.
+Newton and the reports read one competition intensity, ``-dS_i/dP_i`` off
+the diagonal of the exact area Jacobian (:func:`area_jacobian`).
 """
 
 from __future__ import annotations
@@ -83,10 +85,14 @@ class CompanyConditions:
     distance to the admissible band ``[c_lower * S, c_upper * S]`` (zero
     inside), or ``|P - c * S|`` when no potential competitor kinks the
     area at ``P`` and ``c = c_lower = c_upper``.  Each ``c = -1 / (dS/dP)``
-    is exact: ``c_upper`` from the area piece below the price, ``c_lower``
-    from the one above.  ``c_approx`` is the closed-form small-brand-weight
-    approximation of that sensitivity, reported for comparison, never
-    asserted.
+    is exact, ``None`` where the area does not fall.  ``c_upper`` is the
+    piece below the price: the exact area Jacobian's diagonal on the
+    report's partition, which drops a tied zero-area company.  ``c_lower``
+    is the piece above; only at a tie does it differ, and then it comes
+    from one area solve just above the price, as one tick up may wipe the
+    company out, which no Jacobian of the survivors shows.
+    ``c_approx`` is the closed-form small-brand-weight approximation of
+    that sensitivity, reported for comparison, never asserted.
     """
 
     price: float
@@ -278,13 +284,13 @@ def _newton(
     P_i dS_i/dP_i`` over the optimizers' prices, for both brand exponents.
 
     Each step solves one partition, takes the exact Jacobian from it
-    (:func:`area_jacobian`) and solves ``J dP = -F``.  The competition
-    intensity ``-dS_i/dP_i`` is ``gamma_i`` without brand feedback (``q =
-    0``), so ``F_i = S_i - P_i gamma_i``.  With it (``q = 1``, on a line) the
-    intensity is read off the diagonal of the exact ``dS``; with the
-    survivor set fixed the areas are affine in the prices, so one step
-    lands on the root of that piece.  Corner contacts, survivor changes
-    and potential competitors make ``F`` only piecewise smooth, so this is
+    (:func:`area_jacobian`) and solves ``J dP = -F``.  Both exponents read
+    the same intensity ``-dS_i/dP_i``, the diagonal of the exact ``dS``:
+    ``gamma_i`` to the bit without brand feedback (``q = 0``), so ``F_i =
+    S_i - P_i gamma_i``.  With it (``q = 1``, on a line) the survivor set
+    fixed makes the areas affine in the prices, so one step lands on the
+    root of that piece.  Corner contacts, survivor changes and potential
+    competitors make ``F`` only piecewise smooth, so this is
     semismooth Newton: neither a rise of ``max|F|`` nor a change of
     neighbor or survivor set stops it.  It stops at the point a step
     reaches when no price moved by more than ``tol``.  It hands over its
@@ -311,10 +317,7 @@ def _newton(
             return _NewtonRun(best, moves, residuals, f"company {empty} holds no market")
         d_area, d_gamma = (m[np.ix_(index, index)] for m in area_jacobian(scenario, part))
         area = np.array([part.areas[cid] for cid in optimizers])
-        if scenario.q == 1:
-            intensity = -np.diag(d_area)
-        else:
-            intensity = np.array([part.gamma(cid) or 0.0 for cid in optimizers])
+        intensity = -np.diag(d_area)
         residual = area - price * intensity
         residuals.append(float(np.max(np.abs(residual))))
         if residuals[-1] < best_residual:
@@ -488,29 +491,9 @@ def verify_equilibrium(
 # ---------------------------------------------------------------------------
 
 
-def _sensitivity_band(
-    scenario: Scenario, prices: PriceVector, company_id: int, has_pc: bool
-) -> tuple[float | None, float | None]:
-    """``(c_lower, c_upper)``, each ``-1 / (dS/dP)`` from an exact area
-    slope, or ``None`` where the area does not fall.
-
-    The solve at the company's price drops a tied zero-area company, so
-    its slope is that of the piece below the price: ``c_upper``.  Only a
-    potential competitor makes the piece above differ; ``c_lower`` then
-    comes from one more solve just above the price, below the ceiling.
-    """
-    values = prices.as_array()
-    k = scenario.index_of[company_id]
-
-    def sensitivity() -> float | None:
-        slope = fast_signature(scenario, values, company_id).slope
-        return -1.0 / slope if slope < 0.0 else None
-
-    c_upper = sensitivity()
-    if not has_pc:
-        return c_upper, c_upper
-    values[k] += ONE_SIDED_STEP_RTOL * scenario.price_upper
-    return (sensitivity() if values[k] <= scenario.price_upper else None), c_upper
+def _sensitivity(slope: float) -> float | None:
+    """``-1 / slope`` as a float, ``None`` where the area does not fall."""
+    return -1.0 / float(slope) if slope < 0.0 else None
 
 
 def _brand_sensitivity_approx(
@@ -536,6 +519,7 @@ def _company_conditions(
 ) -> dict[int, CompanyConditions]:
     eps = area_tolerance(scenario)
     hidden = activation.hidden if activation is not None else frozenset()
+    d_area = area_jacobian(scenario, part)[0] if scenario.q == 1 else None
     out: dict[int, CompanyConditions] = {}
     for c in scenario.companies:
         price = prices.price_of(scenario, c.id)
@@ -551,8 +535,14 @@ def _company_conditions(
                     residual = abs(price * gamma - area)
                     c_lower = c_upper = 1.0 / gamma
             else:
-                c_lower, c_upper = _sensitivity_band(scenario, prices, c.id, has_pc)
+                k = scenario.index_of[c.id]
+                c_lower = c_upper = _sensitivity(d_area[k, k])
                 if has_pc:
+                    values = prices.as_array()
+                    values[k] += ONE_SIDED_STEP_RTOL * scenario.price_upper
+                    c_lower = None
+                    if values[k] <= scenario.price_upper:
+                        c_lower = _sensitivity(fast_signature(scenario, values, c.id).slope)
                     lo = c_lower * area if c_lower is not None else -math.inf
                     hi = c_upper * area if c_upper is not None else math.inf
                     residual = max(0.0, lo - price, price - hi)

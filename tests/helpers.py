@@ -166,6 +166,21 @@ def brand_triple(beta: float) -> Scenario:
     return load_scenario((DEMOS / "brand_triple.json").read_text()).with_beta(beta)
 
 
+def threshold_tie_market(beta: float) -> Scenario:
+    """Five companies on a line, frozen ends, where the brand threshold
+    evicts company 2 and its price ties it at the boundary of companies 1
+    and 3: both survivors have it as their potential competitor."""
+    positions = [0.0, 1.0, 1.2, 2.2, 3.2]
+    prices = [1.0, 1.1, 3.0, 1.2, 1.0]
+    scn = line_scenario(positions, prices, beta=beta, q=1, price_upper=6.0, margin=1.0)
+    part = solve_partition(scn, PriceVector.from_scenario(scn))
+    # company 2's elimination price: its field meets company 1's there
+    b = part.cells[1].hi
+    own = prices[1] - beta * part.areas[1] + (b - positions[1]) ** 2
+    prices[2] = own - (b - positions[2]) ** 2
+    return line_scenario(positions, prices, beta=beta, q=1, price_upper=6.0, margin=1.0)
+
+
 def lattice_2d(
     n: int = 7,
     boundary_price: float = 0.5,

@@ -31,6 +31,7 @@ from helpers import (
     line_scenario,
     random_line_scenario,
     random_plane_scenario,
+    random_scenario,
     reference_partition_2d,
     reference_solve_line,
     ring_market,
@@ -779,6 +780,20 @@ class TestAreaJacobian:
             assert np.max(np.abs(values[free][:, None] * d_gamma)) > 1e-2
         else:
             assert not d_gamma.any()
+
+    @pytest.mark.parametrize("kind", ["line", "plane", "plane_lattice-equilibrium"])
+    def test_diagonal_is_gamma_to_the_bit(self, kind):
+        # Newton and the reports read -dS_ii as the competition intensity;
+        # without brand feedback it must be part.gamma itself
+        if kind == "plane_lattice-equilibrium":
+            markets = bit_markets(kind)
+        else:
+            scns = [random_scenario(np.random.default_rng(k), kind) for k in range(30)]
+            markets = [(scn, PriceVector.from_scenario(scn)) for scn in scns]
+        for scn, pv in markets:
+            part = solve_partition(scn, pv)
+            diagonal = -np.diag(areas.area_jacobian(scn, part)[0])
+            assert diagonal.tolist() == [part.gamma(cid) or 0.0 for cid in scn.ids]
 
     @pytest.mark.parametrize("name", ["random-0", "plane_lattice", "jittered-15"])
     def test_edge_owners_carry_the_border_lengths(self, name):

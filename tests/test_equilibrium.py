@@ -36,6 +36,7 @@ from helpers import (
     random_plane_scenario,
     random_scenario,
     ring_market,
+    threshold_tie_market,
     triple_q1,
 )
 
@@ -346,14 +347,11 @@ class TestNewton:
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_unusable_jacobian_hands_over(self, fill, monkeypatch, caplog):
-        # fill 0 makes J exactly zero (LinAlgError), nan makes it not finite
+        # fill 0 makes J exactly zero (LinAlgError), nan makes it not
+        # finite: the intensity is read off the same diagonal
         def broken(scenario, part):
             n = len(scenario.companies)
-            d_area = np.full((n, n), fill)
-            for cid in part.neighbors:
-                k = scenario.index_of[cid]
-                d_area[k, k] = part.gamma(cid) or 0.0
-            return d_area, np.zeros((n, n))
+            return np.full((n, n), fill), np.zeros((n, n))
 
         monkeypatch.setattr(eq_mod, "area_jacobian", broken)
         scn = lattice_1d(n=7)
@@ -444,11 +442,13 @@ class TestSensitivityBand:
         # B ties on C's boundary, so C's area slope is -1 on the way up
         # (B alive, flanks at distance 1) and -0.75 on the way down
         # (flank A at distance 2), bracketing the price between
-        # c_lower * S = 1.2 and c_upper * S = 1.6
+        # c_lower * S = 1.2 and c_upper * S = 1.6.  The report takes the
+        # band on the brand-feedback path with the brand weight at zero.
         scn = line_scenario(
             [0.0, 1.0, 2.0, 3.0],
             [1.0, 2.2, 1.4, 1.0],
             frozen=[True, True, False, True],
+            q=1,
             price_upper=6.0,
             margin=1.0,
         )
@@ -457,10 +457,16 @@ class TestSensitivityBand:
         assert part.areas[1] == pytest.approx(0.0)
         assert 1 in part.potential_competitors[2]
         assert part.areas[2] == pytest.approx(1.2)
-        c_lower, c_upper = eq_mod._sensitivity_band(scn, pv, 2, has_pc=True)
-        assert c_lower == pytest.approx(1.0, rel=1e-12, abs=0.0)
-        assert c_upper == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0.0)
-        assert c_lower * part.areas[2] <= 1.4 <= c_upper * part.areas[2]
+        # c_upper is the Jacobian's, c_lower the solve's just above the price
+        k = scn.index_of[2]
+        assert -1.0 / areas_mod.area_jacobian(scn, part)[0][k, k] == pytest.approx(
+            4.0 / 3.0, rel=1e-12, abs=0.0
+        )
+        cond = verify_equilibrium(scn, pv).per_company[2]
+        assert cond.c_lower == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert cond.c_upper == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0.0)
+        assert cond.c_lower * part.areas[2] <= 1.4 <= cond.c_upper * part.areas[2]
+        assert cond.condition_residual == 0.0
 
     @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.5])
     def test_exact_band_on_symmetric_triple(self, beta):
@@ -473,11 +479,16 @@ class TestSensitivityBand:
         assert cond.condition_residual <= 1e-14 * cond.price
 
     def test_one_area_solve_per_optimizer(self, monkeypatch):
-        # the band reads the exact slope of the solve at the price; only a
-        # potential competitor costs a second solve just above it
+        # c_upper comes from the report partition's Jacobian; only a tied
+        # optimizer (a potential competitor) costs a solve, just above its
+        # price.  The criterion-8 market has no tie, the threshold one two.
         scn = random_line_scenario(np.random.default_rng(8000), q=1)
         report = iterate_best_response(scn)
-        part = solve_partition(scn, report.prices)
+        tie = threshold_tie_market(0.35)
+        markets = [
+            (scn, report.prices, report.activation, 0),
+            (tie, PriceVector.from_scenario(tie), None, 2),
+        ]
         calls = []
         for module in (areas_mod, response_mod, eq_mod):
             for name in ("fast_area", "fast_signature"):
@@ -490,13 +501,57 @@ class TestSensitivityBand:
                     return _solve(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-        conditions = eq_mod._company_conditions(scn, report.prices, part, report.activation)
-        optimizers = [
-            c for c in conditions.values() if not (c.frozen or c.hidden) and c.area > 0
+        for scn, prices, activation, ties in markets:
+            part = solve_partition(scn, prices)
+            calls.clear()
+            conditions = eq_mod._company_conditions(scn, prices, part, activation)
+            optimizers = [
+                c for c in conditions.values() if not (c.frozen or c.hidden) and c.area > 0
+            ]
+            tied = sum(c.has_potential_competitor for c in optimizers)
+            assert len(optimizers) >= 2 and tied == ties
+            assert len(calls) == ties
+
+    @pytest.mark.parametrize(
+        "scn",
+        [
+            pytest.param(
+                random_line_scenario(np.random.default_rng(8000 + k), q=1), id=f"criterion-8-{k}"
+            )
+            for k in range(10)
         ]
-        plain = sum(not c.has_potential_competitor for c in optimizers)
-        assert plain > 0
-        assert len(calls) <= plain + 2 * (len(optimizers) - plain)
+        + [pytest.param(brand_triple(b), id=f"triple-{b}") for b in (0.3, 0.5)],
+    )
+    def test_upper_sensitivity_is_the_one_company_solve(self, scn):
+        # the Jacobian of the whole report partition against the
+        # independent solve of one company's area piece at the price
+        report = iterate_best_response(scn)
+        values = report.prices.as_array()
+        eps = areas_mod.area_tolerance(scn)
+        checked = 0
+        for cid, cond in report.per_company.items():
+            if cond.frozen or cond.hidden or cond.area <= eps:
+                continue
+            slope = areas_mod.fast_signature(scn, values, cid).slope
+            assert cond.c_upper == (-1.0 / slope if slope < 0.0 else None)
+            checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "beta, c_lower", [(0.35, 0.4565831435079728), (0.4, 0.37419354838709684)]
+    )
+    def test_threshold_tie_keeps_the_wipeout(self, beta, c_lower):
+        # company 2, evicted by the brand threshold, ties at the boundary
+        # of companies 1 and 3.  One tick up from company 3's price takes
+        # the piece where company 2 trades; one tick up from company 1's
+        # wipes company 1 out, so it has no lower sensitivity.
+        scn = threshold_tie_market(beta)
+        report = verify_equilibrium(scn, PriceVector.from_scenario(scn))
+        one, three = report.per_company[1], report.per_company[3]
+        assert one.has_potential_competitor and three.has_potential_competitor
+        assert one.c_lower is None
+        assert three.c_lower == pytest.approx(c_lower, rel=1e-12, abs=0.0)
+        assert three.c_lower < three.c_upper
 
     def test_verify_partitions_once(self, monkeypatch):
         scn = load_scenario((SCENARIOS / "brand_triple.json").read_text())
