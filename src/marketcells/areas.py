@@ -47,6 +47,7 @@ __all__ = [
     "area_jacobian",
     "areas_for_prices",
     "compute_wipeout_diagnostics",
+    "moved_partition",
     "solve_areas_q0",
     "solve_areas_q1_1d",
     "solve_partition",
@@ -766,8 +767,8 @@ def _partition_2d(
     loops: list[np.ndarray] = []
     areas_by_index = np.zeros(n)
     contact = np.zeros(n, dtype=bool)
-    border: dict[tuple[int, int], float] = {}
-    ties_by_index: dict[int, set[int]] = {k: set() for k in range(n)}
+    lengths_by_index: dict[int, dict[int, float]] = {}
+    ties_by_index: dict[int, set[int]] = {}
     owners_by_index: dict[int, np.ndarray] = {}
     passes = 0
     notes = np.zeros(2, dtype=np.intp)
@@ -783,11 +784,7 @@ def _partition_2d(
             areas_by_index[k], contact[k] = batch.area[r], touches[r]
             if areas_by_index[k] <= eps_area:
                 continue
-            lengths, ties_by_index[k], owners_by_index[k] = batch.edges[r]
-            for j, seg in lengths.items():
-                key = (min(k, j), max(k, j))
-                if key not in border or (k < j):
-                    border[key] = seg
+            lengths_by_index[k], ties_by_index[k], owners_by_index[k] = batch.edges[r]
 
     log = _debug_logger(__name__)
     if log is not None:
@@ -817,13 +814,48 @@ def _partition_2d(
                     "the window understates its true market"
                 )
 
-    # Neighbor graph, symmetrized from the per-cell border lengths.
+    neighbors, potential = _neighbor_graph(
+        scenario, surviving, lengths_by_index, ties_by_index
+    )
+    return MarketPartition(
+        dimension=2,
+        cells=cells,
+        areas=areas,
+        neighbors=neighbors,
+        survivors=frozenset(ids[k] for k in range(n) if surviving[k]),
+        potential_competitors=potential,
+        edge_owners={ids[k]: owners for k, owners in owners_by_index.items()},
+    )
+
+
+def _neighbor_graph(
+    scenario: Scenario,
+    surviving: list[bool],
+    lengths: dict[int, dict[int, float]],
+    ties: dict[int, set[int]],
+) -> tuple[dict[int, tuple[NeighborEdge, ...]], dict[int, frozenset[int]]]:
+    """Neighbor lists and potential competitors of a plane partition, by
+    company id, from each surviving cell's border lengths and ties.
+
+    ``lengths[k]`` maps every company whose bisector carries an edge of
+    company index ``k``'s cell to the length it carries, and ``ties[k]``
+    holds the companies tying only at isolated points of it.  Both cells
+    of a border measure it; the lower index's measurement wins.  A border
+    is exact, however short; one no longer than ``zero_border`` is still
+    flagged as a potential competitor, as an exact corner tie is.  A
+    zero-area company that carries an edge, or ties anywhere on a cell,
+    is a potential competitor of that cell's company.
+    """
+    ids = scenario.ids
+    border: dict[tuple[int, int], float] = {}
+    for k, found in lengths.items():
+        for j, seg in found.items():
+            key = (min(k, j), max(k, j))
+            if key not in border or k < j:
+                border[key] = seg
     neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
     potential: dict[int, set[int]] = {cid: set() for cid in ids}
-
-    # Borders are exact, however short; one shorter than zero_border is
-    # still flagged as a potential competitor, as an exact corner tie is.
-    zero_border = EPS_GEOM * max(1.0, window.diameter)
+    zero_border = EPS_GEOM * max(1.0, scenario.window.diameter)
     pairs = sorted(border.items())
     distances = _pair_distances(scenario.positions, [key for key, _ in pairs])
     for ((a, b), seg), d in zip(pairs, distances):
@@ -835,34 +867,25 @@ def _partition_2d(
                 potential[ids[a]].add(ids[b])
                 potential[ids[b]].add(ids[a])
         elif surviving[a] != surviving[b]:
-            # A zero-area company whose bisector still carries an edge of
-            # the survivor's cell ties along that edge.
             owner, ghost = (a, b) if surviving[a] else (b, a)
             potential[ids[owner]].add(ids[ghost])
 
     corner_pairs: set[tuple[int, int]] = set()
-    for k in range(n):
-        for j in ties_by_index[k]:
-            if surviving[k] and surviving[j]:
+    for k, tied in ties.items():
+        for j in tied:
+            if surviving[j]:
                 corner_pairs.add((min(k, j), max(k, j)))
-            elif surviving[k] and not surviving[j]:
+            else:
                 potential[ids[k]].add(ids[j])
-
     corners = sorted(corner_pairs - border.keys())
     for (a, b), d in zip(corners, _pair_distances(scenario.positions, corners)):
         neighbors[ids[a]].append(NeighborEdge(ids[b], 0.0, d, True))
         neighbors[ids[b]].append(NeighborEdge(ids[a], 0.0, d, True))
         potential[ids[a]].add(ids[b])
         potential[ids[b]].add(ids[a])
-
-    return MarketPartition(
-        dimension=2,
-        cells=cells,
-        areas=areas,
-        neighbors={cid: tuple(v) for cid, v in neighbors.items()},
-        survivors=frozenset(ids[k] for k in range(n) if surviving[k]),
-        potential_competitors={cid: frozenset(s) for cid, s in potential.items()},
-        edge_owners={ids[k]: owners for k, owners in owners_by_index.items()},
+    return (
+        {cid: tuple(v) for cid, v in neighbors.items()},
+        {cid: frozenset(v) for cid, v in potential.items()},
     )
 
 
@@ -874,6 +897,66 @@ def _pair_distances(positions: np.ndarray, pairs: list[tuple[int, int]]) -> list
         return []
     diff = positions[[a for a, _ in pairs]] - positions[[b for _, b in pairs]]
     return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]).tolist()
+
+
+class _EdgeLines(NamedTuple):
+    """Every edge of a plane partition's cells, cell by cell in loop order,
+    with the line it lies on.
+
+    Edge ``e`` belongs to the cell of company index ``cell[e]`` and runs
+    from its start vertex by ``along[e]`` to the start of edge ``succ[e]``;
+    ``prev[e]`` is the edge before it, so its start lies on the lines of
+    edges ``prev[e]`` and ``e``.  ``owner[e]`` is the company index whose
+    bisector carries it, ``-1`` for a window side.  Each line is ``normal .
+    x = offset``: a bisector with company ``j`` on ``i``'s cell has ``normal
+    = 2 (x_j - x_i)`` and, at weights ``w``, ``offset = w_j - w_i + |x_j|^2 -
+    |x_i|^2`` (:meth:`offsets`); a window side has its outward unit normal
+    and does not move.
+    """
+
+    cell: np.ndarray
+    owner: np.ndarray
+    along: np.ndarray
+    prev: np.ndarray
+    succ: np.ndarray
+    normal: np.ndarray
+
+    def offsets(self, scenario: Scenario, weights: np.ndarray) -> np.ndarray:
+        """Every line's offset at ``weights``, as :func:`_bisectors` has it."""
+        window = scenario.window
+        out = np.sum(self.normal * np.where(self.normal > 0.0, window.hi, window.lo), axis=1)
+        bisector = self.owner >= 0
+        j, i = self.owner[bisector], self.cell[bisector]
+        squares = _squares(scenario.positions)
+        out[bisector] = weights[j] - weights[i] + squares[j] - squares[i]
+        return out
+
+
+def _edge_lines(scenario: Scenario, part: MarketPartition) -> _EdgeLines:
+    """The :class:`_EdgeLines` of a plane partition's cells."""
+    index = scenario.index_of
+    counts = [len(o) for o in part.edge_owners.values()]
+    cell = np.repeat([index[cid] for cid in part.edge_owners], counts)
+    owner = np.concatenate(list(part.edge_owners.values()))
+    start = np.concatenate([part.cells[cid].vertices for cid in part.edge_owners])
+    last = np.cumsum(counts) - 1
+    first = last - np.array(counts) + 1
+    succ = np.arange(len(owner)) + 1
+    succ[last] = first
+    prev = np.arange(len(owner)) - 1
+    prev[first] = last
+    along = start[succ] - start
+    # a window edge runs along its side, counterclockwise: its outward
+    # normal is its direction turned clockwise, rounded to the exact axis
+    normal = np.rint(
+        np.column_stack([along[:, 1], -along[:, 0]])
+        / np.hypot(along[:, 0], along[:, 1])[:, None]
+    )
+    bisector = owner >= 0
+    normal[bisector] = 2.0 * (
+        scenario.positions[owner[bisector]] - scenario.positions[cell[bisector]]
+    )
+    return _EdgeLines(cell, owner, along, prev, succ, normal)
 
 
 def area_jacobian(
@@ -900,11 +983,12 @@ def area_jacobian(
     ``dS_i / dP_i = -gamma_i`` from ``part.gamma`` itself (a row sum would
     round otherwise, and so would a running sum where Python's compensates,
     3.12 on).  Each vertex of a cell lies on the lines ``n . x = h`` of its
-    two edges, so it moves by ``M^-1 dh`` with ``M`` stacking their
-    normals.  The bisector with company ``j`` on ``i``'s cell has ``n = 2
-    (x_j - x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1``
-    per unit of ``P_i``; window edges do not move.  An edge's length moves
-    by its unit direction dotted with the motion of its end over its start.
+    two edges (:class:`_EdgeLines`, which :func:`moved_partition` also
+    reads), so it moves by ``M^-1 dh`` with ``M`` stacking their normals.
+    The bisector with company ``j`` on ``i``'s cell has ``n = 2 (x_j -
+    x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1`` per unit
+    of ``P_i``; window edges do not move.  An edge's length moves by its
+    unit direction dotted with the motion of its end over its start.
     """
     index = scenario.index_of
     n = len(scenario.companies)
@@ -937,24 +1021,10 @@ def area_jacobian(
     if not part.edge_owners:
         return dS, dgamma
 
-    counts = [len(o) for o in part.edge_owners.values()]
-    cell = np.repeat([index[cid] for cid in part.edge_owners], counts)
-    owner = np.concatenate(list(part.edge_owners.values()))
-    start = np.concatenate([part.cells[cid].vertices for cid in part.edge_owners])
-    # each edge's predecessor and successor along its own loop
-    last = np.cumsum(counts) - 1
-    first = last - np.array(counts) + 1
-    succ = np.arange(len(owner)) + 1
-    succ[last] = first
-    prev = np.arange(len(owner)) - 1
-    prev[first] = last
-    along = start[succ] - start
-
+    cell, owner, along, prev, succ, normal = _edge_lines(scenario, part)
     bisector = owner >= 0
     direction = along / np.hypot(along[:, 0], along[:, 1])[:, None]
-    far = scenario.positions[owner[bisector]] - scenario.positions[cell[bisector]]
-    normal = np.column_stack([direction[:, 1], -direction[:, 0]])
-    normal[bisector] = 2.0 * far
+    far = 0.5 * normal[bisector]
     # vertex e, where edge e starts, lies on the lines of edges prev[e] and
     # e: it moves by inv[e, :, 0] dh_prev + inv[e, :, 1] dh_e
     a, b = normal[prev], normal
@@ -981,6 +1051,110 @@ def area_jacobian(
         np.add.at(dgamma, (rows, owner[line[moving]]), value)
         np.add.at(dgamma, (rows, rows), -value)
     return dS, dgamma
+
+
+def moved_partition(
+    scenario: Scenario, part: MarketPartition, weights: np.ndarray
+) -> MarketPartition | None:
+    """The plane partition at ``weights``, moved from ``part`` with its
+    combinatorial type kept, or ``None`` where certificates cannot show
+    that the moved cells are that partition.
+
+    Each vertex is solved afresh from the lines of its two edges at
+    ``weights`` (:class:`_EdgeLines`), not moved from where it was, so
+    chained moves do not drift.  The move is refused unless:
+
+    - ``part`` has no potential competitor, so no corner tie either;
+    - every vertex's two lines meet at ``|det| > EPS_GEOM |a| |b|``, as in
+      :func:`_plane_piece`;
+    - every edge keeps its direction and is longer than the border that
+      flags a potential competitor;
+    - every vertex stays in the window, within ``EPS_GEOM max(1,
+      diameter)``;
+    - at every vertex of a cell, every company other than the cell's own
+      and the owners of its two edges, companies with no cell included,
+      prices higher by more than the tie gap of :func:`_edge_attribution`;
+    - every moved area exceeds :func:`area_tolerance`.
+
+    Then the moved cells are the partition at ``weights``.  A company's
+    price gap to the cell's own is affine in the position, so positive
+    at a convex cell's vertices it is positive on the whole cell: each
+    moved cell lies inside the company's true cell, and a company with no
+    cell gains none.  Every edge stays on a line whose normal does not
+    move and keeps its direction, so each cell stays convex with the
+    same angles and the moved cells still tile the window.  Cells that
+    tile the window inside the true cells are the true cells.
+    """
+    if not part.edge_owners or any(part.potential_competitors.values()):
+        return None
+    window = scenario.window
+    tol = EPS_GEOM * max(1.0, window.diameter)
+    lines = _edge_lines(scenario, part)
+    offsets = lines.offsets(scenario, weights)
+    a, b = lines.normal[lines.prev], lines.normal
+    ha, hb = offsets[lines.prev], offsets
+    det = _cross(a, b)
+    norms = np.hypot(b[:, 0], b[:, 1])
+    if np.any(np.abs(det) <= EPS_GEOM * norms[lines.prev] * norms):
+        return None
+    verts = np.column_stack([ha * b[:, 1] - a[:, 1] * hb, a[:, 0] * hb - ha * b[:, 0]])
+    verts /= det[:, None]
+    along = verts[lines.succ] - verts
+    seg = np.hypot(along[:, 0], along[:, 1])
+    if np.any(np.sum(along * lines.along, axis=1) <= 0.0) or np.any(seg <= tol):
+        return None
+    if np.any(verts < np.subtract(window.lo, tol)) or np.any(verts > np.add(window.hi, tol)):
+        return None
+    # every company's aggregate price at every vertex over the cell's own,
+    # in blocks of vertices as a batched clip takes rows
+    positions = scenario.positions
+    fields = weights + _squares(positions)
+    tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
+    step = _block_rows(len(positions))
+    for start in range(0, len(verts), step):
+        block = np.arange(start, min(len(verts), start + step))
+        rows, cell = np.arange(len(block)), lines.cell[block]
+        gap = fields - 2.0 * (verts[block] @ positions.T)
+        gap -= gap[rows, cell][:, None]
+        for owner in (lines.owner[lines.prev[block]], lines.owner[block], cell):
+            gap[rows, np.where(owner >= 0, owner, cell)] = np.inf
+        if np.any(gap <= tie_tol):
+            return None
+
+    # the cells' loops padded to one width, for one shoelace over all
+    counts = np.array([len(o) for o in part.edge_owners.values()])
+    loop = np.repeat(np.arange(len(counts)), counts)
+    padded = np.zeros((len(counts), counts.max(), 2))
+    padded[loop, np.arange(len(verts)) - (np.cumsum(counts) - counts)[loop]] = verts
+    cell_areas = loop_areas(padded, counts)
+    if np.any(cell_areas <= area_tolerance(scenario)):
+        return None
+
+    ids, index = scenario.ids, scenario.index_of
+    cells: dict[int, Interval | ConvexPolygon | None] = dict.fromkeys(ids)
+    areas = dict.fromkeys(ids, 0.0)
+    lengths: dict[int, dict[int, float]] = {}
+    owners, sides = lines.owner.tolist(), seg.tolist()
+    end = 0
+    for cid, count, area in zip(part.edge_owners, counts.tolist(), cell_areas.tolist()):
+        start, end = end, end + count
+        cells[cid], areas[cid] = ConvexPolygon(verts[start:end]), area
+        found: dict[int, float] = {}
+        for j, length in zip(owners[start:end], sides[start:end]):
+            if j >= 0:
+                found[j] = found.get(j, 0.0) + length
+        lengths[index[cid]] = found
+    surviving = [cells[cid] is not None for cid in ids]
+    neighbors, potential = _neighbor_graph(scenario, surviving, lengths, {})
+    return MarketPartition(
+        dimension=2,
+        cells=cells,
+        areas=areas,
+        neighbors=neighbors,
+        survivors=part.survivors,
+        potential_competitors=potential,
+        edge_owners=part.edge_owners,
+    )
 
 
 # ---------------------------------------------------------------------------

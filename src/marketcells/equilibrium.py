@@ -13,7 +13,11 @@ Verification checks the price-area identities a true equilibrium must
 satisfy: price times competition intensity equals area when the brand
 bonus cancels, and the one-sided price-sensitivity band otherwise.
 Newton and the reports read one competition intensity, ``-dS_i/dP_i`` off
-the diagonal of the exact area Jacobian (:func:`area_jacobian`).
+the diagonal of the exact area Jacobian (:func:`area_jacobian`).  In the
+plane a Newton step moves the last partition's vertices with the prices
+where certificates show the moved cells are the partition
+(:func:`moved_partition`), and clips afresh only where one fails; the
+report's partition, verification and the certificate sweep always clip.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .areas import (
     fast_signature,
     line_layout,
     line_thresholds,
+    moved_partition,
     singular_boundaries,
     solve_areas_q1_1d,
     solve_partition,
@@ -264,6 +269,8 @@ class _NewtonRun(NamedTuple):
     moves: int
     residuals: list[float]
     handover: str | None
+    moved: int
+    clipped: int
 
 
 def _with_prices(prices: PriceVector, index: list[int], price: np.ndarray) -> PriceVector:
@@ -283,15 +290,19 @@ def _newton(
     """Newton's method on the stationarity condition ``F_i(P) = S_i(P) +
     P_i dS_i/dP_i`` over the optimizers' prices, for both brand exponents.
 
-    Each step solves one partition, takes the exact Jacobian from it
-    (:func:`area_jacobian`) and solves ``J dP = -F``.  Both exponents read
-    the same intensity ``-dS_i/dP_i``, the diagonal of the exact ``dS``:
-    ``gamma_i`` to the bit without brand feedback (``q = 0``), so ``F_i =
-    S_i - P_i gamma_i``.  With it (``q = 1``, on a line) the survivor set
-    fixed makes the areas affine in the prices, so one step lands on the
-    root of that piece.  Corner contacts, survivor changes and potential
-    competitors make ``F`` only piecewise smooth, so this is
-    semismooth Newton: neither a rise of ``max|F|`` nor a change of
+    Each step takes a partition at the prices, the exact Jacobian from it
+    (:func:`area_jacobian`), and solves ``J dP = -F``.  In the plane the
+    partition of the step before is moved to the new prices where its
+    certificates pass (:func:`moved_partition`: the same cells, so the
+    same partition a clip gives, to rounding); the first step, every step
+    on a line and every refused move solve a full partition.  Both
+    exponents read the same intensity ``-dS_i/dP_i``, the diagonal of the
+    exact ``dS``: ``gamma_i`` to the bit without brand feedback (``q =
+    0``), so ``F_i = S_i - P_i gamma_i``.  With it (``q = 1``, on a line)
+    the survivor set fixed makes the areas affine in the prices, so one
+    step lands on the root of that piece.  Corner contacts, survivor
+    changes and potential competitors make ``F`` only piecewise smooth, so
+    this is semismooth Newton: neither a rise of ``max|F|`` nor a change of
     neighbor or survivor set stops it.  It stops at the point a step
     reaches when no price moved by more than ``tol``.  It hands over its
     best iterate (the smallest ``max|F|``), with the reason, when an
@@ -299,22 +310,34 @@ def _newton(
     Jacobian is singular or not finite, a partition fails, or
     ``NEWTON_STEPS`` steps have not converged.  ``moves`` counts the steps
     that moved a price by more than ``tol``; ``residuals`` holds ``max|F|``
-    at each partition solved.
+    at each partition; ``moved`` and ``clipped`` count the partitions moved
+    and the full partitions solved.
     """
     index = [scenario.index_of[cid] for cid in optimizers]
     price = prices.as_array()[index]
     best, best_residual = prices, math.inf
     residuals: list[float] = []
-    moves = 0
+    moves = moved = clipped = 0
+    part = None
+
+    def run(at: PriceVector, handover: str | None) -> _NewtonRun:
+        return _NewtonRun(at, moves, residuals, handover, moved, clipped)
+
     for _ in range(NEWTON_STEPS):
         current = _with_prices(prices, index, price)
-        try:
-            part = solve_partition(scenario, current, check_window=False)
-        except MarketCellsError as exc:
-            return _NewtonRun(best, moves, residuals, f"partition failed ({exc})")
+        if part is not None:
+            # None on a line, and wherever the move is refused
+            part = moved_partition(scenario, part, current.as_array())
+            moved += part is not None
+        if part is None:
+            clipped += 1
+            try:
+                part = solve_partition(scenario, current, check_window=False)
+            except MarketCellsError as exc:
+                return run(best, f"partition failed ({exc})")
         empty = next((cid for cid in optimizers if part.cells[cid] is None), None)
         if empty is not None:
-            return _NewtonRun(best, moves, residuals, f"company {empty} holds no market")
+            return run(best, f"company {empty} holds no market")
         d_area, d_gamma = (m[np.ix_(index, index)] for m in area_jacobian(scenario, part))
         area = np.array([part.areas[cid] for cid in optimizers])
         intensity = -np.diag(d_area)
@@ -328,14 +351,14 @@ def _newton(
         except np.linalg.LinAlgError:
             step = np.full(len(index), np.nan)
         if not np.all(np.isfinite(step)):
-            return _NewtonRun(best, moves, residuals, "Jacobian singular or not finite")
+            return run(best, "Jacobian singular or not finite")
         price = price + step
         if np.any(price < 0.0) or np.any(price > scenario.price_upper):
-            return _NewtonRun(best, moves, residuals, "a price left [0, price_upper]")
+            return run(best, "a price left [0, price_upper]")
         if float(np.max(np.abs(step))) <= tol:
-            return _NewtonRun(_with_prices(prices, index, price), moves, residuals, None)
+            return run(_with_prices(prices, index, price), None)
         moves += 1
-    return _NewtonRun(best, moves, residuals, f"no convergence in {NEWTON_STEPS} steps")
+    return run(best, f"no convergence in {NEWTON_STEPS} steps")
 
 
 def _partition(
@@ -425,8 +448,11 @@ def iterate_best_response(
         ends = [entered for _, entered in runs[1:]] + [sweeps]
         for (run, entered), end in zip(runs, ends):
             log.debug(
-                "newton: %d steps, max|F| %s, %s, %d certificate sweeps",
+                "newton: %d steps (%d partitions moved, %d clipped), max|F| %s, %s, "
+                "%d certificate sweeps",
                 run.moves + (run.handover is None),
+                run.moved,
+                run.clipped,
                 "[" + ", ".join(f"{r:.2e}" for r in run.residuals) + "]",
                 f"handed over: {run.handover}" if run.handover else "converged",
                 end - entered,

@@ -224,6 +224,11 @@ class PriceVector:
 
     values: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        # plain floats, so reports never carry numpy scalars; float(x) is x
+        # for a float, so vectors built from one another share entries
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+
     @classmethod
     def from_scenario(cls, scenario: Scenario) -> "PriceVector":
         return cls(tuple(c.price for c in scenario.companies))
@@ -235,7 +240,7 @@ class PriceVector:
         missing = set(scenario.ids) - set(prices)
         if missing:
             raise ValidationError(f"prices missing for companies {sorted(missing)}")
-        return cls(tuple(float(prices[c.id]) for c in scenario.companies))
+        return cls(tuple(prices[c.id] for c in scenario.companies))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
@@ -248,7 +253,7 @@ class PriceVector:
     ) -> "PriceVector":
         k = scenario.index_of[company_id]
         vals = list(self.values)
-        vals[k] = float(price)
+        vals[k] = price
         return PriceVector(tuple(vals))
 
     def to_mapping(self, scenario: Scenario) -> dict[int, float]:

@@ -23,6 +23,7 @@ from marketcells.areas import (
     _bisectors,
     _boundary_matrix,
     _singular_message,
+    area_jacobian,
     area_tolerance,
     line_thresholds,
 )
@@ -726,3 +727,48 @@ def assert_same_partition(part: MarketPartition, ref: MarketPartition, scale: fl
         for e, f in zip(got, edges):
             assert abs(e.border_length - f.border_length) <= tol, cid
             assert e.distance == f.distance, cid
+
+
+def plane_scenario(
+    positions, prices, half: float = 2.0, price_upper: float = 10.0
+) -> Scenario:
+    """Free companies at ``positions`` with ``prices`` in the window
+    ``[-half, half]^2``."""
+    companies = tuple(
+        Company(k, (float(x), float(y)), float(p), False)
+        for k, ((x, y), p) in enumerate(zip(positions, prices))
+    )
+    return Scenario(
+        dimension=2,
+        beta=0.0,
+        q=0,
+        companies=companies,
+        focal_box_half=half,
+        price_upper=price_upper,
+        window=Box((-half, -half), (half, half)),
+    )
+
+
+def assert_moved_is_the_partition(
+    scn: Scenario, moved: MarketPartition, weights: np.ndarray, rtol: float = 1e-13
+) -> None:
+    """``moved``, a partition from ``areas.moved_partition``, is the fresh
+    ``solve_partition`` at ``weights``: the same survivors, edge owners up
+    to loop rotation and neighbor sets, no potential competitor, and areas,
+    ``gamma`` and both ``area_jacobian`` matrices within ``rtol`` (the
+    matrices relative to their largest entry)."""
+    fresh = solve_partition(scn, PriceVector(tuple(weights)), check_window=False)
+    assert moved.survivors == fresh.survivors
+    assert not any(moved.potential_competitors.values())
+    assert not any(fresh.potential_competitors.values())
+    for cid in fresh.survivors:
+        owners, got = fresh.edge_owners[cid], moved.edge_owners[cid]
+        assert len(got) == len(owners), cid
+        assert any(np.array_equal(np.roll(got, s), owners) for s in range(len(got))), cid
+        assert {e.company_id for e in moved.neighbors[cid]} == {
+            e.company_id for e in fresh.neighbors[cid]
+        }, cid
+        assert abs(moved.areas[cid] - fresh.areas[cid]) <= rtol * fresh.areas[cid], cid
+        assert abs(moved.gamma(cid) - fresh.gamma(cid)) <= rtol * fresh.gamma(cid), cid
+    for got, want in zip(area_jacobian(scn, moved), area_jacobian(scn, fresh)):
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))

@@ -24,11 +24,13 @@ from marketcells.errors import BoundaryCompany, MarketCellsError
 
 from helpers import (
     aggregate_price,
+    assert_moved_is_the_partition,
     assert_same_partition,
     brand_triple,
     jittered_lattice_2d,
     lattice_2d,
     line_scenario,
+    plane_scenario,
     random_line_scenario,
     random_plane_scenario,
     random_scenario,
@@ -819,3 +821,68 @@ class TestAreaJacobian:
             assert by_owner.keys() == borders.keys()
             for j, length in by_owner.items():
                 assert length == pytest.approx(borders[j], abs=1e-12 * window.diameter)
+
+
+def _partition_at(scn, weights):
+    return solve_partition(scn, PriceVector(tuple(weights)), check_window=False)
+
+
+class TestMovedPartition:
+    def test_chained_moves_on_a_jittered_lattice_are_the_partition(self):
+        # each move starts from the last one, so a drift would show
+        scn = lattice_2d(7)
+        rng = np.random.default_rng(23)
+        free = np.array([not c.frozen for c in scn.companies])
+        weights = PriceVector.from_scenario(scn).as_array()
+        weights[free] = rng.uniform(0.6, 1.4, size=free.sum())
+        part = _partition_at(scn, weights)
+        for _ in range(6):
+            weights = weights.copy()
+            weights[free] += rng.uniform(-2e-3, 2e-3, size=free.sum())
+            part = areas.moved_partition(scn, part, weights)
+            assert part is not None
+            assert_moved_is_the_partition(scn, part, weights)
+
+    def test_refused_where_four_cells_meet_at_a_corner(self):
+        scn = load_scenario(PLANE_LATTICE.read_text())
+        weights = np.array([c.price if c.frozen else 0.5 for c in scn.companies])
+        part = _partition_at(scn, weights)
+        assert any(part.potential_competitors.values())
+        assert areas.moved_partition(scn, part, weights) is None
+
+    def test_refused_where_a_company_enters(self):
+        scn = ring_market(np.random.default_rng([7, 1]))
+        entering = PriceVector.from_scenario(scn).as_array()
+        weights = entering.copy()
+        weights[0] = scn.price_upper
+        part = _partition_at(scn, weights)
+        assert part.cells[0] is None and not any(part.potential_competitors.values())
+        # a drop that leaves it out moves; one that lets it in does not
+        weights[0] -= 0.1
+        assert_moved_is_the_partition(scn, areas.moved_partition(scn, part, weights), weights)
+        assert areas.moved_partition(scn, part, entering) is None
+        assert _partition_at(scn, entering).areas[0] > 1.0
+
+    def test_refused_where_an_edge_closes(self):
+        # 0 and 1 share the edge x = 0, |y| <= (P_2 - P_0) / 2, which closes
+        # when 0 and 1 price above 2 and 3
+        scn = plane_scenario([(-1, 0), (1, 0), (0, 1), (0, -1)], [0.0, 0.0, 0.2, 0.2])
+        part = _partition_at(scn, [0.0, 0.0, 0.2, 0.2])
+        assert 1 in {e.company_id for e in part.neighbors[0]}
+        shorter = np.array([0.05, 0.05, 0.2, 0.2])
+        assert_moved_is_the_partition(scn, areas.moved_partition(scn, part, shorter), shorter)
+        closed = np.array([0.2, 0.2, 0.0, 0.0])
+        assert areas.moved_partition(scn, part, closed) is None
+        assert 1 not in {e.company_id for e in _partition_at(scn, closed).neighbors[0]}
+
+    def test_refused_where_a_vertex_passes_a_window_corner(self):
+        # the bisector 4x + y = P_1 + 0.25 meets the bottom side at x = (P_1 +
+        # 2.25) / 4, which passes the corner (2, -2) above P_1 = 5.75
+        scn = plane_scenario([(-1, 0), (1, 0.5)], [0.0, 5.5])
+        part = _partition_at(scn, [0.0, 5.5])
+        assert [2.0, -2.0] in part.cells[1].vertices.tolist()
+        nearer = np.array([0.0, 5.6])
+        assert_moved_is_the_partition(scn, areas.moved_partition(scn, part, nearer), nearer)
+        past = np.array([0.0, 6.0])
+        assert areas.moved_partition(scn, part, past) is None
+        assert [2.0, -2.0] not in _partition_at(scn, past).cells[1].vertices.tolist()

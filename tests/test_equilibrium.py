@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import signal
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import marketcells.equilibrium as eq_mod
 import marketcells.response as response_mod
 
 from helpers import (
+    assert_moved_is_the_partition,
     brand_triple,
     lattice_1d,
     lattice_2d,
@@ -263,6 +265,46 @@ def certificate_sweeps(message: str) -> int:
     return int(message.rsplit(", ", 1)[1].split()[0])
 
 
+NEWTON_LINE = re.compile(
+    r"newton: (\d+) steps \((\d+) partitions moved, (\d+) clipped\), "
+    r"max\|F\| \[[^\]]*\], (.*), (\d+) certificate sweeps"
+)
+
+
+def newton_runs(caplog):
+    """Each ``newton:`` line as ``(steps, moved, clipped, outcome, sweeps)``."""
+    out = []
+    for message in newton_records(caplog):
+        steps, moved, clipped, outcome, sweeps = NEWTON_LINE.fullmatch(message).groups()
+        out.append((int(steps), int(moved), int(clipped), outcome, int(sweeps)))
+    return out
+
+
+def plane_newton_markets():
+    """The twelve rings of a benchmark ``plane-eq`` round, each solved from
+    its own prices, and ``random_scenario(default_rng(k), "plane")`` for k =
+    0-29."""
+    rings = [p for p in newton_markets() if p.id.startswith("ring-")]
+    return rings + [
+        pytest.param((random_scenario(np.random.default_rng(k), "plane"),), id=f"random-plane-{k}")
+        for k in range(30)
+    ]
+
+
+def record_moves(monkeypatch):
+    """Patch Newton's move to keep every moved partition with its weights."""
+    moves = []
+
+    def recorded(scn, part, weights):
+        moved = areas_mod.moved_partition(scn, part, weights)
+        if moved is not None:
+            moves.append((scn, moved, weights))
+        return moved
+
+    monkeypatch.setattr(eq_mod, "moved_partition", recorded)
+    return moves
+
+
 class TestNewton:
     @pytest.mark.parametrize("markets", newton_markets())
     def test_agrees_with_best_response_alone(self, markets, monkeypatch):
@@ -364,6 +406,59 @@ class TestNewton:
         assert all("handed over: Jacobian singular or not finite" in m for m in messages)
         for cid in range(1, 6):
             assert report.prices.price_of(scn, cid) == pytest.approx(1.0, abs=1e-7)
+
+    def test_moved_partitions_match_a_fresh_clip_on_the_rings(self, monkeypatch, caplog):
+        moves = record_moves(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
+            for param in plane_newton_markets():
+                if param.id.startswith("ring-"):
+                    (scn,) = param.values[0]
+                    assert iterate_best_response(scn).converged
+        for scn, moved, weights in moves:
+            assert_moved_is_the_partition(scn, moved, weights)
+        assert len(moves) >= 30
+        runs = newton_runs(caplog)
+        assert len(runs) == 12 and sum(run[1] for run in runs) == len(moves)
+        for steps, moved, clipped, outcome, _ in runs:
+            assert outcome == "converged" and moved + clipped == steps and clipped >= 1
+
+    @pytest.mark.parametrize("k", range(30))
+    def test_moved_partitions_match_a_fresh_clip_on_random_planes(self, k, monkeypatch):
+        moves = record_moves(monkeypatch)
+        scn = random_scenario(np.random.default_rng(k), "plane")
+        iterate_best_response(scn)
+        for scn, moved, weights in moves:
+            assert_moved_is_the_partition(scn, moved, weights)
+
+    def test_moved_partitions_match_a_fresh_clip_on_a_jittered_lattice(self, monkeypatch):
+        # Newton's steps from these prices change the cells' type, so it
+        # may move nothing; what it moves must still be the partition
+        moves = record_moves(monkeypatch)
+        scn = lattice_2d(7)
+        rng = np.random.default_rng(5)
+        init = [c.price if c.frozen else float(rng.uniform(0.6, 1.4)) for c in scn.companies]
+        assert iterate_best_response(scn, init=PriceVector(tuple(init))).converged
+        for scn, moved, weights in moves:
+            assert_moved_is_the_partition(scn, moved, weights)
+
+    @pytest.mark.parametrize("markets", plane_newton_markets())
+    def test_refusing_every_move_changes_nothing(self, markets, monkeypatch, caplog):
+        (scn,) = markets
+        with caplog.at_level(logging.DEBUG, logger="marketcells.equilibrium"):
+            report = iterate_best_response(scn)
+            moving = newton_runs(caplog)
+            caplog.clear()
+            monkeypatch.setattr(eq_mod, "moved_partition", lambda *args: None)
+            clipping = iterate_best_response(scn)
+            refused = newton_runs(caplog)
+        assert report.iterations == clipping.iterations
+        assert report.converged == clipping.converged
+        # the same steps, hand-overs and sweeps, every partition clipped
+        assert [(r[0], r[3], r[4]) for r in moving] == [(r[0], r[3], r[4]) for r in refused]
+        assert all(r[1] == 0 for r in refused)
+        assert [r[1] + r[2] for r in moving] == [r[2] for r in refused]
+        gap = np.max(np.abs(report.prices.as_array() - clipping.prices.as_array()))
+        assert gap <= 1e-13 * scn.price_upper
 
 
 class TestVerify:
@@ -586,6 +681,21 @@ class TestMultiStartAndSerialization:
         assert [r.prices for r in a] == [r.prices for r in b]
         for r in a:
             assert r.converged
+
+    def test_verify_at_numpy_prices_serializes(self):
+        # prices from numpy arithmetic once gave a numpy.bool_ "converged"
+        # that json refused
+        scn = random_line_scenario(np.random.default_rng(8000), q=1)
+        report = iterate_best_response(scn)
+        values = tuple(
+            np.float64(p) - 1e-9 if not c.frozen and p < scn.price_upper else p
+            for c, p in zip(scn.companies, report.prices.values)
+        )
+        check = verify_equilibrium(scn, PriceVector(values))
+        assert type(check.converged) is bool
+        assert all(type(v) is float for v in check.prices.values)
+        doc = json.loads(json.dumps(report_to_dict(scn, check)))
+        assert doc["prices"] == check.prices.to_doc(scn)
 
     def test_report_round_trips_through_json(self):
         scn = triple_q1(0.4)
