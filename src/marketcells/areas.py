@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,6 +41,7 @@ from .geometry import (
 from .model import Box, PriceVector, Scenario
 
 __all__ = [
+    "EdgeTable",
     "MarketPartition",
     "NeighborEdge",
     "WipeoutDiagnostics",
@@ -93,10 +94,9 @@ class MarketPartition:
     competition-intensity sum ``l / (2 d)`` reads the same in both
     dimensions.  ``potential_competitors[i]`` collects zero-area
     companies tying somewhere on ``i``'s closed cell as well as
-    neighbors whose shared border has zero length.  In 2D,
-    ``edge_owners[i][e]`` is the index (in ``scenario.companies``) of the
-    company whose bisector carries edge ``e`` of ``i``'s cell, from vertex
-    ``e`` to the next, or ``-1`` for a window edge.
+    neighbors whose shared border has zero length.  In 2D, ``edges`` is
+    the :class:`EdgeTable` of the surviving cells, from which the cells'
+    vertices, border lengths and neighbors are read; ``None`` on a line.
     """
 
     dimension: int
@@ -105,7 +105,7 @@ class MarketPartition:
     neighbors: dict[int, tuple[NeighborEdge, ...]]
     survivors: frozenset[int]
     potential_competitors: dict[int, frozenset[int]]
-    edge_owners: dict[int, np.ndarray] = field(default_factory=dict)
+    edges: EdgeTable | None = None
 
     def gamma(self, company_id: int) -> float | None:
         """Competition intensity: sum of border length over twice the
@@ -548,19 +548,18 @@ def _edge_attribution(
     offsets: np.ndarray,
     plane_ids: np.ndarray,
     tie_tol: float,
-) -> list[tuple[dict[int, float], set[int], np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Match the edges of padded loops to their generating bisectors.
 
     Row ``r`` is matched against its half-planes ``normals[r]``,
     ``offsets[r]`` of companies ``plane_ids[r]``.  An edge lies on a
     bisector when the price gap is within ``tie_tol`` at both endpoints;
     of several such (coincident bisectors) the one with the smallest gap
-    sum wins, the lowest company index on a tie.  Returns, per row,
-    ``(border_lengths, ties, owners)``: per-company border length for
-    every company whose bisector carries an edge, the set of companies
-    tying only at isolated vertices (corner contacts or zero-area ties),
-    and the company carrying each edge in loop order (``-1``: none, a
-    window edge).
+    sum wins, the lowest company index on a tie.  Returns ``(owners,
+    ties)``: the company carrying each edge in loop order (``-1``: none, a
+    window edge, and past a loop's end), and as rows ``(r, j)`` every
+    company ``j`` tying only at isolated vertices of row ``r``'s loop
+    (corner contacts or zero-area ties).
     """
     loop = np.arange(verts.shape[1]) < counts[:, None]
     # price gap of every half-plane at every vertex: (rows, width, planes)
@@ -571,24 +570,14 @@ def _edge_attribution(
     first = both & (sums == sums.min(axis=2, keepdims=True))
     ranked = np.where(first, plane_ids[:, None, :], np.iinfo(plane_ids.dtype).max)
     column = np.where(both.any(axis=2), np.argmin(ranked, axis=2), -1)
-    seg = np.hypot(*(successors(verts, counts) - verts).transpose(2, 0, 1))
     on_edge = np.zeros(tight.shape[::2], dtype=bool)
     carried = column >= 0
     on_edge[np.nonzero(carried)[0], column[carried]] = True
-    tie_only = tight.any(axis=1) & ~on_edge
     owners = np.where(
         carried, np.take_along_axis(plane_ids, np.maximum(column, 0), axis=1), -1
     )
-    out = []
-    for r in range(len(verts)):
-        companies = plane_ids[r].tolist()
-        lengths: dict[int, float] = {}
-        for col, length in zip(column[r].tolist(), seg[r].tolist()):
-            if col >= 0:
-                lengths[companies[col]] = lengths.get(companies[col], 0.0) + length
-        ties = {companies[c] for c in np.flatnonzero(tie_only[r]).tolist()}
-        out.append((lengths, ties, owners[r, : counts[r]]))
-    return out
+    rows, tied = np.nonzero(tight.any(axis=1) & ~on_edge)
+    return owners, np.column_stack([rows, plane_ids[rows, tied]])
 
 
 # Half-planes each row of a batched clip cuts with first: its nearest
@@ -611,17 +600,17 @@ class _NearestClip(NamedTuple):
     """Cells of a batch of rows, each the loop :func:`clip_cell` gives.
 
     ``verts`` and ``counts`` hold the padded loops (count ``0``: no cell)
-    and ``area`` their areas.  ``edges[r]`` is what
-    :func:`_edge_attribution` finds on row ``r``'s cell against all its
-    bisectors.
-    ``reach`` and ``tie`` count the rows cut again with every bisector,
-    by reason.
+    and ``area`` their areas.  ``owners`` and ``ties`` are what
+    :func:`_edge_attribution` finds on the cells against all their
+    bisectors.  ``reach`` and ``tie`` count the rows cut again with every
+    bisector, by reason.
     """
 
     verts: np.ndarray
     counts: np.ndarray
     area: np.ndarray
-    edges: list
+    owners: np.ndarray
+    ties: np.ndarray
     passes: int
     reach: int
     tie: int
@@ -738,15 +727,15 @@ def _clip_nearest(
         counts[recut] = cut_counts
     counts[counts < 3] = 0
     area = loop_areas(verts, counts)
-    edges = _edge_attribution(verts, counts, normals, offsets, planes, tie_tol)
+    owners, ties = _edge_attribution(verts, counts, normals, offsets, planes, tie_tol)
     if len(recut):
-        found = _edge_attribution(
+        owners[recut], wide_ties = _edge_attribution(
             verts[recut], counts[recut], wide_normals, wide_offsets, wide, tie_tol
         )
-        for r, attribution in zip(recut.tolist(), found):
-            edges[r] = attribution
+        wide_ties[:, 0] = recut[wide_ties[:, 0]]
+        ties = np.concatenate([ties[~np.isin(ties[:, 0], recut)], wide_ties])
     return _NearestClip(
-        verts, counts, area, edges, passes, int(reached.sum()), int(tied.sum())
+        verts, counts, area, owners, ties, passes, int(reached.sum()), int(tied.sum())
     )
 
 
@@ -756,20 +745,17 @@ def _partition_2d(
     check_window: bool,
 ) -> MarketPartition:
     n = len(scenario.companies)
-    ids = scenario.ids
     window = scenario.window
     eps_area = area_tolerance(scenario)
     tie_tol = _TIE_RTOL * max(1.0, scenario.price_upper)
 
-    # All cells are clipped in row blocks; each surviving cell's border
-    # lengths and ties come from its own boundary, matched against the
-    # half-planes that cut it.
-    loops: list[np.ndarray] = []
-    areas_by_index = np.zeros(n)
+    # All cells are clipped in row blocks; each surviving cell's edges and
+    # ties come from its own boundary, matched against the half-planes
+    # that cut it.
+    area = np.zeros(n)
     contact = np.zeros(n, dtype=bool)
-    lengths_by_index: dict[int, dict[int, float]] = {}
-    ties_by_index: dict[int, set[int]] = {}
-    owners_by_index: dict[int, np.ndarray] = {}
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    ties: list[np.ndarray] = []
     passes = 0
     notes = np.zeros(2, dtype=np.intp)
     step = _block_rows(n)
@@ -778,13 +764,14 @@ def _partition_2d(
         batch = _clip_nearest(scenario, weights, rows, tie_tol)
         passes += batch.passes
         notes += (batch.reach, batch.tie)
-        touches = window_contacts(batch.verts, batch.counts, window)
-        for r, k in enumerate(rows.tolist()):
-            loops.append(batch.verts[r, : batch.counts[r]])
-            areas_by_index[k], contact[k] = batch.area[r], touches[r]
-            if areas_by_index[k] <= eps_area:
-                continue
-            lengths_by_index[k], ties_by_index[k], owners_by_index[k] = batch.edges[r]
+        area[rows] = batch.area
+        contact[rows] = window_contacts(batch.verts, batch.counts, window)
+        kept = batch.area > eps_area
+        loop = np.arange(batch.verts.shape[1]) < batch.counts[:, None]
+        r, k = np.nonzero(loop & kept[:, None])
+        edges.append((rows[r], batch.owners[r, k], batch.verts[r, k]))
+        held = batch.ties[kept[batch.ties[:, 0]]]
+        ties.append(np.column_stack([rows[held[:, 0]], held[:, 1]]))
 
     log = _debug_logger(__name__)
     if log is not None:
@@ -794,132 +781,46 @@ def _partition_2d(
             n, passes, int(notes.sum()), *notes.tolist(),
         )
 
-    surviving = (areas_by_index > eps_area).tolist()
-
-    cells: dict[int, Interval | ConvexPolygon | None] = {}
-    areas: dict[int, float] = {}
-    for k in range(n):
-        if surviving[k]:
-            cells[ids[k]] = ConvexPolygon(loops[k])
-            areas[ids[k]] = float(areas_by_index[k])
-        else:
-            cells[ids[k]] = None
-            areas[ids[k]] = 0.0
-
+    surviving = area > eps_area
     if check_window:
-        for k in range(n):
-            if surviving[k] and not scenario.companies[k].frozen and contact[k]:
+        for k in np.flatnonzero(surviving & contact).tolist():
+            if not scenario.companies[k].frozen:
                 raise WindowTooSmall(
-                    f"non-frozen company {ids[k]} owns a window-edge cell; "
+                    f"non-frozen company {scenario.ids[k]} owns a window-edge cell; "
                     "the window understates its true market"
                 )
 
-    neighbors, potential = _neighbor_graph(
-        scenario, surviving, lengths_by_index, ties_by_index
-    )
-    return MarketPartition(
-        dimension=2,
-        cells=cells,
-        areas=areas,
-        neighbors=neighbors,
-        survivors=frozenset(ids[k] for k in range(n) if surviving[k]),
-        potential_competitors=potential,
-        edge_owners={ids[k]: owners for k, owners in owners_by_index.items()},
-    )
+    cell, owner, verts = (np.concatenate(column) for column in zip(*edges))
+    table = _edge_table(scenario.positions, cell, owner, verts)
+    return _plane_partition(scenario, table, area[surviving], np.concatenate(ties))
 
 
-def _neighbor_graph(
-    scenario: Scenario,
-    surviving: list[bool],
-    lengths: dict[int, dict[int, float]],
-    ties: dict[int, set[int]],
-) -> tuple[dict[int, tuple[NeighborEdge, ...]], dict[int, frozenset[int]]]:
-    """Neighbor lists and potential competitors of a plane partition, by
-    company id, from each surviving cell's border lengths and ties.
-
-    ``lengths[k]`` maps every company whose bisector carries an edge of
-    company index ``k``'s cell to the length it carries, and ``ties[k]``
-    holds the companies tying only at isolated points of it.  Both cells
-    of a border measure it; the lower index's measurement wins.  A border
-    is exact, however short; one no longer than ``zero_border`` is still
-    flagged as a potential competitor, as an exact corner tie is.  A
-    zero-area company that carries an edge, or ties anywhere on a cell,
-    is a potential competitor of that cell's company.
-    """
-    ids = scenario.ids
-    border: dict[tuple[int, int], float] = {}
-    for k, found in lengths.items():
-        for j, seg in found.items():
-            key = (min(k, j), max(k, j))
-            if key not in border or k < j:
-                border[key] = seg
-    neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
-    potential: dict[int, set[int]] = {cid: set() for cid in ids}
-    zero_border = EPS_GEOM * max(1.0, scenario.window.diameter)
-    pairs = sorted(border.items())
-    distances = _pair_distances(scenario.positions, [key for key, _ in pairs])
-    for ((a, b), seg), d in zip(pairs, distances):
-        if surviving[a] and surviving[b]:
-            flag = seg <= zero_border
-            neighbors[ids[a]].append(NeighborEdge(ids[b], seg, d, flag))
-            neighbors[ids[b]].append(NeighborEdge(ids[a], seg, d, flag))
-            if flag:
-                potential[ids[a]].add(ids[b])
-                potential[ids[b]].add(ids[a])
-        elif surviving[a] != surviving[b]:
-            owner, ghost = (a, b) if surviving[a] else (b, a)
-            potential[ids[owner]].add(ids[ghost])
-
-    corner_pairs: set[tuple[int, int]] = set()
-    for k, tied in ties.items():
-        for j in tied:
-            if surviving[j]:
-                corner_pairs.add((min(k, j), max(k, j)))
-            else:
-                potential[ids[k]].add(ids[j])
-    corners = sorted(corner_pairs - border.keys())
-    for (a, b), d in zip(corners, _pair_distances(scenario.positions, corners)):
-        neighbors[ids[a]].append(NeighborEdge(ids[b], 0.0, d, True))
-        neighbors[ids[b]].append(NeighborEdge(ids[a], 0.0, d, True))
-        potential[ids[a]].add(ids[b])
-        potential[ids[b]].add(ids[a])
-    return (
-        {cid: tuple(v) for cid, v in neighbors.items()},
-        {cid: frozenset(v) for cid, v in potential.items()},
-    )
-
-
-def _pair_distances(positions: np.ndarray, pairs: list[tuple[int, int]]) -> list[float]:
-    """Distance between the companies of each index pair.  Each is the
-    square root of one dot product, as ``np.linalg.norm`` takes it for a
-    single pair, so both agree to the bit."""
-    if not pairs:
-        return []
-    diff = positions[[a for a, _ in pairs]] - positions[[b for _, b in pairs]]
-    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]).tolist()
-
-
-class _EdgeLines(NamedTuple):
-    """Every edge of a plane partition's cells, cell by cell in loop order,
-    with the line it lies on.
+class EdgeTable(NamedTuple):
+    """Every edge of a plane partition's cells, cell by cell in company
+    index order and each cell in its loop order.
 
     Edge ``e`` belongs to the cell of company index ``cell[e]`` and runs
-    from its start vertex by ``along[e]`` to the start of edge ``succ[e]``;
-    ``prev[e]`` is the edge before it, so its start lies on the lines of
-    edges ``prev[e]`` and ``e``.  ``owner[e]`` is the company index whose
-    bisector carries it, ``-1`` for a window side.  Each line is ``normal .
-    x = offset``: a bisector with company ``j`` on ``i``'s cell has ``normal
-    = 2 (x_j - x_i)`` and, at weights ``w``, ``offset = w_j - w_i + |x_j|^2 -
-    |x_i|^2`` (:meth:`offsets`); a window side has its outward unit normal
-    and does not move.
+    from vertex ``start[e]`` to the start of edge ``succ[e]``; ``prev[e]`` is
+    the edge before it, so its start lies on the lines of edges ``prev[e]``
+    and ``e``.  ``owner[e]`` is the company index whose bisector carries it,
+    ``-1`` for a window side.  Each line is ``normal . x = offset``: a
+    bisector with company ``j`` on ``i``'s cell has ``normal = 2 (x_j -
+    x_i)`` and, at weights ``w``, ``offset = w_j - w_i + |x_j|^2 - |x_i|^2``
+    (:meth:`offsets`); a window side has its outward unit normal and does
+    not move.  While the cells keep their combinatorial type only
+    ``start`` moves with the prices.
     """
 
     cell: np.ndarray
     owner: np.ndarray
-    along: np.ndarray
+    start: np.ndarray
     prev: np.ndarray
     succ: np.ndarray
     normal: np.ndarray
+
+    def along(self) -> np.ndarray:
+        """Every edge as the vector from its start to its end."""
+        return self.start[self.succ] - self.start
 
     def offsets(self, scenario: Scenario, weights: np.ndarray) -> np.ndarray:
         """Every line's offset at ``weights``, as :func:`_bisectors` has it."""
@@ -932,18 +833,22 @@ class _EdgeLines(NamedTuple):
         return out
 
 
-def _edge_lines(scenario: Scenario, part: MarketPartition) -> _EdgeLines:
-    """The :class:`_EdgeLines` of a plane partition's cells."""
-    index = scenario.index_of
-    counts = [len(o) for o in part.edge_owners.values()]
-    cell = np.repeat([index[cid] for cid in part.edge_owners], counts)
-    owner = np.concatenate(list(part.edge_owners.values()))
-    start = np.concatenate([part.cells[cid].vertices for cid in part.edge_owners])
-    last = np.cumsum(counts) - 1
-    first = last - np.array(counts) + 1
-    succ = np.arange(len(owner)) + 1
+def _loop_starts(cell: np.ndarray) -> np.ndarray:
+    """Index of each cell's first edge in an :class:`EdgeTable`'s ``cell``."""
+    return np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+
+
+def _edge_table(
+    positions: np.ndarray, cell: np.ndarray, owner: np.ndarray, start: np.ndarray
+) -> EdgeTable:
+    """The :class:`EdgeTable` of the loops that run back to back in
+    ``start``, edge ``e`` on the cell of company index ``cell[e]`` and
+    carried by ``owner[e]``."""
+    first = _loop_starts(cell)
+    last = np.append(first[1:], len(cell)) - 1
+    succ = np.arange(len(cell)) + 1
     succ[last] = first
-    prev = np.arange(len(owner)) - 1
+    prev = np.arange(len(cell)) - 1
     prev[first] = last
     along = start[succ] - start
     # a window edge runs along its side, counterclockwise: its outward
@@ -953,10 +858,130 @@ def _edge_lines(scenario: Scenario, part: MarketPartition) -> _EdgeLines:
         / np.hypot(along[:, 0], along[:, 1])[:, None]
     )
     bisector = owner >= 0
-    normal[bisector] = 2.0 * (
-        scenario.positions[owner[bisector]] - scenario.positions[cell[bisector]]
+    normal[bisector] = 2.0 * (positions[owner[bisector]] - positions[cell[bisector]])
+    return EdgeTable(cell, owner, start, prev, succ, normal)
+
+
+def _plane_partition(
+    scenario: Scenario, table: EdgeTable, areas: np.ndarray, ties: np.ndarray
+) -> MarketPartition:
+    """The plane partition whose surviving cells ``table`` holds, with their
+    ``areas`` in its cell order, and the companies each row ``(k, j)`` of
+    ``ties`` records as tying only at isolated points of company index
+    ``k``'s cell."""
+    ids = scenario.ids
+    first = _loop_starts(table.cell)
+    survivors = table.cell[first].tolist()
+    ends = first.tolist() + [len(table.cell)]
+    cells: dict[int, Interval | ConvexPolygon | None] = dict.fromkeys(ids)
+    area_of = dict.fromkeys(ids, 0.0)
+    for k, a, b, area in zip(survivors, ends, ends[1:], areas.tolist()):
+        cells[ids[k]], area_of[ids[k]] = ConvexPolygon(table.start[a:b]), area
+    neighbors, potential = _neighbor_graph(scenario, table, ties)
+    return MarketPartition(
+        dimension=2,
+        cells=cells,
+        areas=area_of,
+        neighbors=neighbors,
+        survivors=frozenset(ids[k] for k in survivors),
+        potential_competitors=potential,
+        edges=table,
     )
-    return _EdgeLines(cell, owner, along, prev, succ, normal)
+
+
+def _neighbor_graph(
+    scenario: Scenario, table: EdgeTable, ties: np.ndarray
+) -> tuple[dict[int, tuple[NeighborEdge, ...]], dict[int, frozenset[int]]]:
+    """Neighbor lists and potential competitors of a plane partition, by
+    company id, from its surviving cells' edges and ties.
+
+    A cell's border with company ``j`` is the length of the edges ``j``'s
+    bisector carries, added in loop order, and each row ``(k, j)`` of
+    ``ties`` holds a company tying only at isolated points of company
+    index ``k``'s cell.  Both cells of a border measure it; the lower
+    index's measurement wins.  A border is exact, however short; one no
+    longer than ``zero_border`` is still flagged as a potential
+    competitor, as an exact corner tie is.  A zero-area company that
+    carries an edge, or ties anywhere on a cell, is a potential competitor
+    of that cell's company.
+    """
+    ids = scenario.ids
+    n = len(ids)
+    surviving = np.zeros(n, dtype=bool)
+    surviving[table.cell] = True
+    surviving = surviving.tolist()
+    # each cell's border with each company, its edges added in loop order
+    carried = table.owner >= 0
+    along = table.along()[carried]
+    pair, edge_pair = np.unique(
+        table.cell[carried] * n + table.owner[carried], return_inverse=True
+    )
+    length = np.zeros(len(pair))
+    np.add.at(length, edge_pair, np.hypot(along[:, 0], along[:, 1]))
+    # one measurement per border, the lower cell's where it has one
+    k, j = np.divmod(pair, n)
+    lower = np.argsort(k > j, kind="stable")
+    border, first = np.unique(
+        np.minimum(k, j)[lower] * n + np.maximum(k, j)[lower], return_index=True
+    )
+    lo, hi = np.divmod(border, n)
+    length = length[lower][first]
+
+    neighbors: dict[int, list[NeighborEdge]] = {cid: [] for cid in ids}
+    potential: dict[int, set[int]] = {cid: set() for cid in ids}
+    zero_border = EPS_GEOM * max(1.0, scenario.window.diameter)
+    distances = _pair_distances(scenario.positions, lo, hi)
+    for a, b, seg, d in zip(lo.tolist(), hi.tolist(), length.tolist(), distances):
+        if surviving[a] and surviving[b]:
+            flag = seg <= zero_border
+            neighbors[ids[a]].append(NeighborEdge(ids[b], seg, d, flag))
+            neighbors[ids[b]].append(NeighborEdge(ids[a], seg, d, flag))
+            if flag:
+                potential[ids[a]].add(ids[b])
+                potential[ids[b]].add(ids[a])
+        else:
+            owner, ghost = (a, b) if surviving[a] else (b, a)
+            potential[ids[owner]].add(ids[ghost])
+
+    corner_pairs: set[tuple[int, int]] = set()
+    for k, j in ties.tolist():
+        if surviving[j]:
+            corner_pairs.add((min(k, j), max(k, j)))
+        else:
+            potential[ids[k]].add(ids[j])
+    corners = np.array(sorted(corner_pairs - set(zip(lo.tolist(), hi.tolist()))), dtype=np.intp)
+    corners = corners.reshape(-1, 2)
+    for (a, b), d in zip(corners.tolist(), _pair_distances(scenario.positions, *corners.T)):
+        neighbors[ids[a]].append(NeighborEdge(ids[b], 0.0, d, True))
+        neighbors[ids[b]].append(NeighborEdge(ids[a], 0.0, d, True))
+        potential[ids[a]].add(ids[b])
+        potential[ids[b]].add(ids[a])
+    return (
+        {cid: tuple(v) for cid, v in neighbors.items()},
+        {cid: frozenset(v) for cid, v in potential.items()},
+    )
+
+
+def _pair_distances(positions: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Distance between companies ``a[p]`` and ``b[p]`` for every ``p``.  Each
+    is the square root of one dot product, as ``np.linalg.norm`` takes it
+    for a single pair, so both agree to the bit."""
+    diff = positions[a] - positions[b]
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]).tolist()
+
+
+def _meet(
+    a: np.ndarray, b: np.ndarray, ha: np.ndarray | float, hb: np.ndarray | float
+) -> tuple[np.ndarray, bool]:
+    """Row by row, the point on the lines ``a . x = ha`` and ``b . x = hb`` by
+    Cramer's rule, and whether any two lines are too near parallel to
+    meet: ``|det| <= EPS_GEOM |a| |b|``."""
+    det = _cross(a, b)
+    parallel = np.abs(det) <= EPS_GEOM * np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        point = np.column_stack([ha * b[:, 1] - a[:, 1] * hb, a[:, 0] * hb - ha * b[:, 0]])
+        point /= det[:, None]
+    return point, bool(np.any(parallel))
 
 
 def area_jacobian(
@@ -983,12 +1008,13 @@ def area_jacobian(
     ``dS_i / dP_i = -gamma_i`` from ``part.gamma`` itself (a row sum would
     round otherwise, and so would a running sum where Python's compensates,
     3.12 on).  Each vertex of a cell lies on the lines ``n . x = h`` of its
-    two edges (:class:`_EdgeLines`, which :func:`moved_partition` also
-    reads), so it moves by ``M^-1 dh`` with ``M`` stacking their normals.
-    The bisector with company ``j`` on ``i``'s cell has ``n = 2 (x_j -
-    x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j`` and ``-1`` per unit
-    of ``P_i``; window edges do not move.  An edge's length moves by its
-    unit direction dotted with the motion of its end over its start.
+    two edges in ``part.edges``, so it moves by ``M^-1 dh`` with ``M``
+    stacking their normals (:func:`_meet` at unit offsets gives the
+    columns of ``M^-1``).  The bisector with company ``j`` on ``i``'s cell
+    has ``n = 2 (x_j - x_i)`` and ``h`` moving by ``+1`` per unit of ``P_j``
+    and ``-1`` per unit of ``P_i``; window edges do not move.  An edge's
+    length moves by its unit direction dotted with the motion of its end
+    over its start.
     """
     index = scenario.index_of
     n = len(scenario.companies)
@@ -1018,20 +1044,16 @@ def area_jacobian(
         for e in edges:
             dS[i, index[e.company_id]] += e.border_length / (2.0 * e.distance)
         dS[i, i] = -(part.gamma(cid) or 0.0)
-    if not part.edge_owners:
-        return dS, dgamma
 
-    cell, owner, along, prev, succ, normal = _edge_lines(scenario, part)
+    cell, owner, _, prev, succ, normal = part.edges
+    along = part.edges.along()
     bisector = owner >= 0
     direction = along / np.hypot(along[:, 0], along[:, 1])[:, None]
     far = 0.5 * normal[bisector]
     # vertex e, where edge e starts, lies on the lines of edges prev[e] and
     # e: it moves by inv[e, :, 0] dh_prev + inv[e, :, 1] dh_e
     a, b = normal[prev], normal
-    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.stack([b[:, ::-1] * [1.0, -1.0], a[:, ::-1] * [-1.0, 1.0]], axis=2)
-        inv /= det[:, None, None]
+    inv = np.stack([_meet(a, b, 1.0, 0.0)[0], _meet(a, b, 0.0, 1.0)[0]], axis=2)
     # edge e's length moves by u_e . (dv_succ - dv_e), a combination of the
     # offsets of the lines of edges e, succ[e] and prev[e]
     here = np.einsum("ei,eik->ek", direction, inv)
@@ -1060,9 +1082,11 @@ def moved_partition(
     combinatorial type kept, or ``None`` where certificates cannot show
     that the moved cells are that partition.
 
-    Each vertex is solved afresh from the lines of its two edges at
-    ``weights`` (:class:`_EdgeLines`), not moved from where it was, so
-    chained moves do not drift.  The move is refused unless:
+    The moved partition carries ``part.edges`` forward: cells, owners,
+    ``prev``/``succ`` and normals stay, and each vertex is solved afresh
+    from the lines of its two edges at ``weights`` (:func:`_meet`), not
+    moved from where it was, so chained moves do not drift.  The move is
+    refused unless:
 
     - ``part`` has no potential competitor, so no corner tie either;
     - every vertex's two lines meet at ``|det| > EPS_GEOM |a| |b|``, as in
@@ -1085,23 +1109,19 @@ def moved_partition(
     same angles and the moved cells still tile the window.  Cells that
     tile the window inside the true cells are the true cells.
     """
-    if not part.edge_owners or any(part.potential_competitors.values()):
+    table = part.edges
+    if table is None or any(part.potential_competitors.values()):
         return None
     window = scenario.window
     tol = EPS_GEOM * max(1.0, window.diameter)
-    lines = _edge_lines(scenario, part)
-    offsets = lines.offsets(scenario, weights)
-    a, b = lines.normal[lines.prev], lines.normal
-    ha, hb = offsets[lines.prev], offsets
-    det = _cross(a, b)
-    norms = np.hypot(b[:, 0], b[:, 1])
-    if np.any(np.abs(det) <= EPS_GEOM * norms[lines.prev] * norms):
+    offsets = table.offsets(scenario, weights)
+    verts, parallel = _meet(table.normal[table.prev], table.normal, offsets[table.prev], offsets)
+    if parallel:
         return None
-    verts = np.column_stack([ha * b[:, 1] - a[:, 1] * hb, a[:, 0] * hb - ha * b[:, 0]])
-    verts /= det[:, None]
-    along = verts[lines.succ] - verts
+    moved = table._replace(start=verts)
+    along = moved.along()
     seg = np.hypot(along[:, 0], along[:, 1])
-    if np.any(np.sum(along * lines.along, axis=1) <= 0.0) or np.any(seg <= tol):
+    if np.any(np.sum(along * table.along(), axis=1) <= 0.0) or np.any(seg <= tol):
         return None
     if np.any(verts < np.subtract(window.lo, tol)) or np.any(verts > np.add(window.hi, tol)):
         return None
@@ -1113,48 +1133,24 @@ def moved_partition(
     step = _block_rows(len(positions))
     for start in range(0, len(verts), step):
         block = np.arange(start, min(len(verts), start + step))
-        rows, cell = np.arange(len(block)), lines.cell[block]
+        rows, cell = np.arange(len(block)), table.cell[block]
         gap = fields - 2.0 * (verts[block] @ positions.T)
         gap -= gap[rows, cell][:, None]
-        for owner in (lines.owner[lines.prev[block]], lines.owner[block], cell):
+        for owner in (table.owner[table.prev[block]], table.owner[block], cell):
             gap[rows, np.where(owner >= 0, owner, cell)] = np.inf
         if np.any(gap <= tie_tol):
             return None
 
     # the cells' loops padded to one width, for one shoelace over all
-    counts = np.array([len(o) for o in part.edge_owners.values()])
+    first = _loop_starts(table.cell)
+    counts = np.diff(first, append=len(verts))
     loop = np.repeat(np.arange(len(counts)), counts)
     padded = np.zeros((len(counts), counts.max(), 2))
-    padded[loop, np.arange(len(verts)) - (np.cumsum(counts) - counts)[loop]] = verts
+    padded[loop, np.arange(len(verts)) - first[loop]] = verts
     cell_areas = loop_areas(padded, counts)
     if np.any(cell_areas <= area_tolerance(scenario)):
         return None
-
-    ids, index = scenario.ids, scenario.index_of
-    cells: dict[int, Interval | ConvexPolygon | None] = dict.fromkeys(ids)
-    areas = dict.fromkeys(ids, 0.0)
-    lengths: dict[int, dict[int, float]] = {}
-    owners, sides = lines.owner.tolist(), seg.tolist()
-    end = 0
-    for cid, count, area in zip(part.edge_owners, counts.tolist(), cell_areas.tolist()):
-        start, end = end, end + count
-        cells[cid], areas[cid] = ConvexPolygon(verts[start:end]), area
-        found: dict[int, float] = {}
-        for j, length in zip(owners[start:end], sides[start:end]):
-            if j >= 0:
-                found[j] = found.get(j, 0.0) + length
-        lengths[index[cid]] = found
-    surviving = [cells[cid] is not None for cid in ids]
-    neighbors, potential = _neighbor_graph(scenario, surviving, lengths, {})
-    return MarketPartition(
-        dimension=2,
-        cells=cells,
-        areas=areas,
-        neighbors=neighbors,
-        survivors=part.survivors,
-        potential_competitors=potential,
-        edge_owners=part.edge_owners,
-    )
+    return _plane_partition(scenario, moved, cell_areas, np.zeros((0, 2), dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -1444,13 +1440,9 @@ def _plane_piece(
     side = np.concatenate((verts[1:], verts[:1])) - verts
     slope = float(np.sum(np.hypot(side[:, 0], side[:, 1]) * rates[edge] / norms[edge]))
     before = np.concatenate((edge[-1:], edge[:-1]))
-    a, b = lines[before], lines[edge]
-    det = _cross(a, b)
-    if np.any(np.abs(det) <= EPS_GEOM * norms[before] * norms[edge]):
+    dv, parallel = _meet(lines[before], lines[edge], rates[before], rates[edge])
+    if parallel:
         return slope, 0.0, 0.0
-    ra, rb = rates[before], rates[edge]
-    dv = np.stack([b[:, 1] * ra - a[:, 1] * rb, a[:, 0] * rb - b[:, 0] * ra], axis=1)
-    dv /= det[:, None]
     dv_next = np.concatenate((dv[1:], dv[:1]))
     curvature = 0.5 * float(np.sum(_cross(dv, dv_next)))
     dside = dv_next - dv

@@ -15,8 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .areas import solve_areas_q1_1d, solve_partition
+from .areas import solve_partition
 from .equilibrium import (
+    _partition,
     iterate_best_response,
     multi_start,
     report_to_dict,
@@ -135,11 +136,7 @@ def _dump(doc, out: str | None) -> None:
 
 
 def _partition_doc(scenario: Scenario, prices: PriceVector) -> dict:
-    wipeout = None
-    if scenario.q == 1:
-        part, wipeout = solve_areas_q1_1d(scenario, prices)
-    else:
-        part = solve_partition(scenario, prices)
+    part, wipeout = _partition(scenario, prices)
     doc = {
         "dimension": scenario.dimension,
         "areas": {str(cid): a for cid, a in sorted(part.areas.items())},

@@ -762,7 +762,8 @@ def assert_moved_is_the_partition(
     assert not any(moved.potential_competitors.values())
     assert not any(fresh.potential_competitors.values())
     for cid in fresh.survivors:
-        owners, got = fresh.edge_owners[cid], moved.edge_owners[cid]
+        k = scn.index_of[cid]
+        owners, got = (part.edges.owner[part.edges.cell == k] for part in (fresh, moved))
         assert len(got) == len(owners), cid
         assert any(np.array_equal(np.roll(got, s), owners) for s in range(len(got))), cid
         assert {e.company_id for e in moved.neighbors[cid]} == {

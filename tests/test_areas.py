@@ -673,9 +673,8 @@ class TestBatchedPartition:
                 assert part.cells[cid] is None, cid
             else:
                 assert np.array_equal(part.cells[cid].vertices, cell.vertices), cid
-        assert part.edge_owners.keys() == full.edge_owners.keys()
-        for cid, owners in full.edge_owners.items():
-            assert np.array_equal(part.edge_owners[cid], owners), cid
+        for name, column in full.edges._asdict().items():
+            assert np.array_equal(getattr(part.edges, name), column), name
 
     def test_peak_memory_of_a_625_company_partition(self):
         # The per-company clip loop peaked at 1.7 MB here; the batched
@@ -798,23 +797,35 @@ class TestAreaJacobian:
             assert diagonal.tolist() == [part.gamma(cid) or 0.0 for cid in scn.ids]
 
     @pytest.mark.parametrize("name", ["random-0", "plane_lattice", "jittered-15"])
-    def test_edge_owners_carry_the_border_lengths(self, name):
+    def test_edge_table_carries_the_border_lengths(self, name):
         scn = plane_market(name)
         part = solve_partition(scn, PriceVector.from_scenario(scn), check_window=False)
         window = scn.window
-        assert set(part.edge_owners) == part.survivors
-        for cid, owners in part.edge_owners.items():
-            verts = part.cells[cid].vertices
-            assert len(owners) == len(verts)
+        table = part.edges
+        assert {scn.ids[k] for k in table.cell.tolist()} == part.survivors
+        for cid in part.survivors:
+            rows = np.flatnonzero(table.cell == scn.index_of[cid])
+            # one loop per cell, its vertices the cell's, linked in order
+            assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1)), cid
+            assert np.array_equal(table.succ[rows], np.roll(rows, -1)), cid
+            assert np.array_equal(table.prev[rows], np.roll(rows, 1)), cid
+            owners, verts = table.owner[rows], part.cells[cid].vertices
+            assert np.array_equal(table.start[rows], verts), cid
             ends = np.roll(verts, -1, axis=0)
             lengths = np.hypot(*(ends - verts).T)
             by_owner: dict[int, float] = {}
-            for owner, length, a, b in zip(owners.tolist(), lengths, verts, ends):
+            normals = table.normal[rows]
+            for owner, length, a, b, normal in zip(owners.tolist(), lengths, verts, ends, normals):
                 if owner < 0:
                     on_side = np.isclose(a, window.lo) & np.isclose(b, window.lo)
                     on_side |= np.isclose(a, window.hi) & np.isclose(b, window.hi)
                     assert on_side.any(), (cid, a, b)
+                    # the outward unit normal of that side
+                    side = np.where(normal > 0.0, window.hi, window.lo)
+                    assert np.abs(normal).sum() == 1.0 and np.isclose(normal @ a, normal @ side)
                 else:
+                    k = scn.index_of[cid]
+                    assert np.array_equal(normal, 2.0 * (scn.positions[owner] - scn.positions[k]))
                     j = scn.ids[owner]
                     by_owner[j] = by_owner.get(j, 0.0) + length
             borders = {e.company_id: e.border_length for e in part.neighbors[cid] if e.border_length > 0}

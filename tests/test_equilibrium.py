@@ -422,6 +422,41 @@ class TestNewton:
         for steps, moved, clipped, outcome, _ in runs:
             assert outcome == "converged" and moved + clipped == steps and clipped >= 1
 
+    def test_moved_partitions_build_no_edge_table(self, monkeypatch):
+        # a plane partition's edge table is built where a clip builds the
+        # partition; a move carries it forward with only its vertices
+        # moved, and a Jacobian reads it
+        calls = {"_edge_table": 0, "_partition_2d": 0, "area_jacobian": 0, "moved": 0}
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def moved_partition(scn, part, weights):
+            moved = areas_mod.moved_partition(scn, part, weights)
+            if moved is not None:
+                calls["moved"] += 1
+                for name in ("cell", "owner", "prev", "succ", "normal"):
+                    assert getattr(moved.edges, name) is getattr(part.edges, name), name
+                assert not np.array_equal(moved.edges.start, part.edges.start)
+            return moved
+
+        counted(areas_mod, "_edge_table")
+        counted(areas_mod, "_partition_2d")
+        counted(eq_mod, "area_jacobian")
+        monkeypatch.setattr(eq_mod, "moved_partition", moved_partition)
+        for param in plane_newton_markets():
+            if param.id.startswith("ring-"):
+                (scn,) = param.values[0]
+                assert iterate_best_response(scn).converged
+        assert calls["moved"] >= 30 and calls["area_jacobian"] > calls["moved"]
+        assert calls["_edge_table"] == calls["_partition_2d"]
+
     @pytest.mark.parametrize("k", range(30))
     def test_moved_partitions_match_a_fresh_clip_on_random_planes(self, k, monkeypatch):
         moves = record_moves(monkeypatch)
