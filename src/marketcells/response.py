@@ -134,6 +134,16 @@ def best_response(
     price (see :func:`_walk`), then the most profitable of ``0``, the
     price ceiling and the walk's end.  Ties break toward the lower price.
     A company with no market even at price zero is wiped out.
+
+    A company with a market at some price has one at price zero: without
+    brand feedback a higher own price only shrinks the cell, and with it
+    dense scans find no exception, though the area may rise with the
+    price there.  So a start inside ``(0, price_upper)`` that holds a
+    market rules the wipe-out out, and the profit at zero is ``0`` with
+    no solve.  The solve at zero runs only for a start outside that
+    interval, a start without market, or when the walk needs the piece
+    there.  A response from a stationary start costs two solves: the
+    start and the ceiling.
     """
     company = scenario.company(company_id)
     if company.frozen:
@@ -151,12 +161,13 @@ def best_response(
             solved[price] = fast_signature(scenario, values, company_id)
         return solved[price]
 
-    if solve(0.0).area <= eps:
+    start = prices.values[k]
+    if not (0.0 < start < upper and solve(start).area > eps) and solve(0.0).area <= eps:
         return BestResponse(upper, 0.0, True)
 
-    ends = _walk(solve, prices.values[k], upper, eps)
-    best_price, best_profit = 0.0, -np.inf
-    for price in sorted({0.0, upper, *ends}):
+    ends = _walk(solve, start, upper, eps)
+    best_price, best_profit = 0.0, 0.0
+    for price in sorted({upper, *ends} - {0.0}):
         w = price * solve(price).area
         if w > best_profit * (1.0 + 1e-12) + 1e-15:
             best_price, best_profit = price, w
@@ -193,33 +204,37 @@ def _walk(
     a root outside the bracket.  Otherwise the walk returns the
     stationary price, or the ends of a bracket narrowed to
     ``BRACKET_RTOL * upper``.
+
+    ``solve`` caches its pieces: the walk looks up the piece at ``lo``
+    and at the last price with a market again, and solves at ``0`` only
+    once it needs that piece, when ``W'`` at the start is not positive.
     """
     if _profit_slope(upper, solve(upper), eps) >= 0.0:
         return [upper]
     past = BRACKET_RTOL * upper
     lo, hi = 0.0, upper
-    last_price, last = 0.0, solve(0.0)
-    low = last
+    last_price = 0.0
     price = start if lo < start < hi else 0.5 * upper
     step, previous_step = math.inf, math.inf
     for _ in range(_MAX_STEPS):
         at = solve(price)
         g = _profit_slope(price, at, eps)
         if g > 0.0:
-            lo, low = price, at
+            lo = price
         else:
             hi = price
         if at.area > eps:
             if abs(g) <= STATIONARY_RTOL * (at.area - price * at.slope):
                 return [price]
-            last_price, last = price, at
+            last_price = price
         if hi - lo <= past:
             return [lo, hi]
+        low = solve(lo)
         end = lo + low.reach
         rising = low.reach > 0.0 and not _model_root(lo, low) <= end
         if rising and end + past >= hi:
             return [max(lo, end - past), hi]
-        proposal = _model_root(last_price, last)
+        proposal = _model_root(last_price, solve(last_price))
         if g > 0.0 and low.reach > 0.0:
             # exact on the piece just solved: its root, or the next piece
             if rising:

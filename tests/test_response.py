@@ -35,6 +35,7 @@ from helpers import (
     random_line_scenario,
     random_plane_scenario,
     random_scenario,
+    ring_market,
     triple_q1,
 )
 
@@ -403,19 +404,75 @@ class TestBestResponse:
         assert profits.max() - br.profit <= 1e-6 * br.profit
 
 
+def gate_markets(family):
+    """The markets the solve-count tests run on, by family, with
+    ``brand_triple`` over its whole beta range: ``(label, scenario,
+    prices, company ids)``."""
+    if family == "lattice":
+        scn = lattice_2d(n=7)
+        yield "lattice", scn, PriceVector.from_scenario(scn), [24]
+        yield "lattice-0.5", scn, PriceVector(tuple(0.5 for _ in scn.companies)), [24]
+        return
+    if family == "brand-line":
+        markets = [("brand-line", random_line_scenario(np.random.default_rng(8000), q=1))]
+    elif family == "brand_triple":
+        # the band 0.55-1 holds wipe-out jumps and, at 0.7-0.95, prices
+        # where the middle company's area rises with its own price
+        markets = [(f"triple-{0.05 * b:.2f}", brand_triple(0.05 * b)) for b in range(1, 40)]
+    else:
+        count = 20 if family == "plane" else 60
+        markets = [
+            (f"{family}-{seed}", random_scenario(np.random.default_rng(seed), family))
+            for seed in range(count)
+        ]
+    for label, scn in markets:
+        free = [c.id for c in scn.companies if not c.frozen]
+        yield label, scn, PriceVector.from_scenario(scn), free
+
+
+@pytest.mark.parametrize(
+    "family", ["lattice", "brand-line", "line", "line_q1", "plane", "brand_triple"]
+)
+def test_market_anywhere_means_market_at_zero(family):
+    # A best response whose start holds a market takes it that the company
+    # is not wiped out, and solves at price 0 only when the walk needs the
+    # piece there.  Dense per-price solves over [0, price_upper] check the
+    # premise.  Without brand feedback an area never rises with the own
+    # price; with it, it may (brand_triple at beta 0.7-0.95), so only the
+    # implication is asserted there.
+    samples = 51
+    for label, scn, pv, company_ids in gate_markets(family):
+        eps = areas.area_tolerance(scn)
+        values = pv.as_array()
+        for cid in company_ids:
+            k = scn.index_of[cid]
+            curve = []
+            for price in np.linspace(0.0, scn.price_upper, samples):
+                values[k] = price
+                curve.append(areas.fast_area(scn, values, cid))
+            values[k] = pv.values[k]
+            curve = np.array(curve)
+            if curve.max() > eps:
+                assert curve[0] > eps, (label, cid)
+            if scn.q == 0:
+                assert np.diff(curve).max() <= 1e-12 * curve[0], (label, cid)
+
+
 class TestSolveCount:
     """Area solves per best response, counted through the solvers the
     response module calls."""
 
     @pytest.fixture
     def counter(self, monkeypatch):
-        calls = {"solves": 0, "responses": 0}
+        """Solves and best responses, with the own price of every solve."""
+        calls = {"solves": 0, "responses": 0, "prices": []}
         for name in ("fast_area", "fast_signature"):
             original = getattr(response, name)
 
-            def counted(*args, _original=original):
+            def counted(scenario, values, company_id, _original=original):
                 calls["solves"] += 1
-                return _original(*args)
+                calls["prices"].append(float(values[scenario.index_of[company_id]]))
+                return _original(scenario, values, company_id)
 
             monkeypatch.setattr(response, name, counted)
 
@@ -441,6 +498,85 @@ class TestSolveCount:
         report = iterate_best_response(scn)
         assert report.converged
         assert counter["solves"] <= 12 * counter["responses"]
+
+    def assert_two_solves_each(self, counter, scn, prices, company_ids):
+        """Each response solved at its start and at the ceiling only."""
+        upper = scn.price_upper
+        expected = [x for cid in company_ids for x in (prices.price_of(scn, cid), upper)]
+        assert counter["prices"] == expected
+        assert 0.0 not in expected
+
+    def test_stationary_start_solves_twice(self, counter):
+        # a start where W' vanishes is the answer: no solve at price 0
+        scn = load_scenario((DEMOS / "plane_lattice.json").read_text())
+        half = PriceVector(tuple(0.5 for _ in scn.companies))
+        free = [c.id for c in scn.companies if not c.frozen]
+        counter["prices"].clear()
+        for cid in free:
+            assert best_response(scn, half, cid).price == pytest.approx(0.5, abs=1e-15)
+        self.assert_two_solves_each(counter, scn, half, free)
+
+        scn = random_line_scenario(np.random.default_rng(8000), q=1)
+        prices = iterate_best_response(scn).prices
+        free = [c.id for c in scn.companies if not c.frozen]
+        counter["prices"].clear()
+        for cid in free:
+            best_response(scn, prices, cid)
+        self.assert_two_solves_each(counter, scn, prices, free)
+
+    def test_verify_solves_twice_per_response(self, counter):
+        # the twelve rings of a benchmark plane-eq round at seed 7
+        rng = np.random.default_rng([7, 1])
+        for _ in range(12):
+            scn = ring_market(rng)
+            prices = iterate_best_response(scn).prices
+            counter["prices"].clear()
+            counter["responses"] = 0
+            assert equilibrium.verify_equilibrium(scn, prices).converged
+            free = [c.id for c in scn.companies if not c.frozen]
+            assert counter["responses"] == len(free)
+            self.assert_two_solves_each(counter, scn, prices, free)
+
+    @pytest.mark.parametrize(
+        "market, start, expected",
+        [
+            # past the maximum, W' < 0 at the start: the walk needs the
+            # piece at price 0
+            ("plane_lattice", (24, 0.65), (0.5000000000000002, 0.5000000000000002, False)),
+            ("plane_lattice", (16, 0.65), (0.5000000000000001, 0.5000000000000001, False)),
+            ("brand-line", (1, 1.3), (0.36645820333103196, 0.41525567675464836, False)),
+            ("brand-line", (2, 1.3), (0.4944819694010724, 0.5761807260972627, False)),
+            ("brand-line", (3, 1.3), (0.8048951487539275, 1.134754058489621, False)),
+            # the start holds no market: only the solve at 0 tells a
+            # wipe-out from a market at lower prices
+            ("lattice-empty", (24, 3.0), (0.7090055512641944, 1.1516574145596763, False)),
+            ("dead-triple", (1, 1.0), (5.0, 0.0, True)),
+        ],
+    )
+    def test_other_starts_solve_at_zero(self, counter, market, start, expected):
+        # the expected responses are those of the walk that solved at
+        # price 0 first, to the bit
+        cid, scale = start
+        if market == "plane_lattice":
+            scn = load_scenario((DEMOS / "plane_lattice.json").read_text())
+            prices = PriceVector(tuple(0.5 for _ in scn.companies))
+        elif market == "brand-line":
+            scn = random_line_scenario(np.random.default_rng(8000), q=1)
+            prices = iterate_best_response(scn).prices
+            scale *= prices.price_of(scn, cid)
+        elif market == "lattice-empty":
+            scn = lattice_2d(n=7)
+            prices = PriceVector.from_scenario(scn)
+        else:
+            scn = triple_q1(1.2, prices=(0.2, 1.0, 0.2))
+            prices = PriceVector.from_scenario(scn)
+        counter["prices"].clear()
+        br = best_response(scn, prices.with_price(scn, cid, scale), cid)
+        assert 0.0 in counter["prices"]
+        assert (br.price, br.profit, br.wiped_out) == expected
+        if br.wiped_out:
+            # no market at the start nor at 0: no walk
+            assert counter["prices"] == [scale, 0.0]
 
     def test_kinks_take_few_solves(self, counter):
         # The walk steps to the end of a piece along which W' stays
